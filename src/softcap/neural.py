@@ -1,34 +1,71 @@
-"""Dense feedforward substrate for the learner: parameter containers, ReLU
-MLP forward/backward passes, the Adam update, and a small versioned binary
-container for checkpoint arrays.  Everything is float64 and hand-derived;
-no autodiff framework.
+"""Dense feedforward substrate for the learner: flat parameter vectors with
+per-layer views, ReLU MLP forward/backward passes into reusable workspaces,
+the in-place Adam update, and a small versioned binary container for
+checkpoint arrays.  Everything is float64 and hand-derived; no autodiff
+framework.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass
+def param_count(sizes: Sequence[int]) -> int:
+    """Number of weights and biases in a dense stack with these layer widths."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class DenseParams:
-    """Weights (out x in) and biases per layer, shapes chaining input to output."""
+    """Weights (out x in) and biases per layer, shapes chaining input to output.
 
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    All of them live in one flat float64 vector, ``flat``, layer by layer
+    (weights, then biases); ``weights[i]`` and ``biases[i]`` are views into
+    it, so a whole-vector operation on ``flat`` updates every layer.  The
+    constructor copies the given arrays into a new vector.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if len(weights) != len(biases):
             raise ValueError("weights and biases disagree in layer count")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+        if not weights:
+            raise ValueError("need at least one layer")
+        for w, b in zip(weights, biases):
+            if np.ndim(w) != 2 or np.ndim(b) != 1 or np.shape(w)[0] != np.shape(b)[0]:
                 raise ValueError("layer shapes are inconsistent")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
-            if nxt.shape[1] != prev.shape[0]:
+        for prev, nxt in zip(weights[:-1], weights[1:]):
+            if np.shape(nxt)[1] != np.shape(prev)[0]:
                 raise ValueError("layer widths do not chain")
+        sizes = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
+        self._bind(np.empty(param_count(sizes)), sizes)
+        for dst, src in zip(self.weights + self.biases, list(weights) + list(biases)):
+            dst[...] = src
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, sizes: Sequence[int]) -> "DenseParams":
+        """Parameters laid out for ``sizes`` over ``flat`` itself, not a copy."""
+        params = cls.__new__(cls)
+        params._bind(flat, sizes)
+        return params
+
+    def _bind(self, flat: np.ndarray, sizes: Sequence[int]) -> None:
+        if flat.dtype != np.float64 or flat.shape != (param_count(sizes),):
+            raise ValueError(f"flat vector {flat.dtype} {flat.shape} does not fit "
+                             f"layer sizes {list(sizes)}")
+        self.flat = flat
+        self.weights: List[np.ndarray] = []
+        self.biases: List[np.ndarray] = []
+        offset = 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            self.weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            self.biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
 
     @property
     def n_layers(self) -> int:
@@ -39,26 +76,61 @@ class DenseParams:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def clone(self) -> "DenseParams":
-        return DenseParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return DenseParams.from_flat(self.flat.copy(), self.layer_sizes)
 
     def zeros_like(self) -> "DenseParams":
-        return DenseParams([np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
+        return DenseParams.from_flat(np.zeros_like(self.flat), self.layer_sizes)
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate values retained for the matching backward pass."""
+class Workspace:
+    """Arrays that one network's passes reuse from call to call.
 
-    inputs: np.ndarray
-    pre_activations: List[np.ndarray]
-    activations: List[np.ndarray]  # post-ReLU hidden activations
-    output: np.ndarray
-    output_activation: str
+    ``array(key, shape)`` returns a view of the buffer kept under ``key``,
+    which is reallocated only to grow, so a caller that keeps one workspace
+    per network at a fixed batch size allocates nothing after the first
+    call.  Whatever a call returns from a workspace is overwritten by the
+    next call that uses it for the same job.
+
+    Arrays needed only during one call (backward's deltas, the optimizer's
+    scratch vectors) come from ``temp`` instead, which draws on the
+    ``scratch`` workspace when one is given: workspaces whose calls never
+    overlap can share a single set of them.
+
+    ``forward`` also records here what ``backward`` reads: the input batch,
+    each layer's output (post-ReLU for hidden layers) and the output
+    activation.
+    """
+
+    def __init__(self, scratch: Optional["Workspace"] = None):
+        self._arrays: Dict[object, np.ndarray] = {}
+        self._scratch = self if scratch is None else scratch
+        self.inputs: Optional[np.ndarray] = None
+        self.layers: List[np.ndarray] = []
+        self.output_activation = "linear"
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.layers[-1]
+
+    def array(self, key, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return _buffer_view(self._arrays, key, shape, dtype)
+
+    def temp(self, key, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """Like ``array``, but from the scratch workspace's buffers."""
+        return _buffer_view(self._scratch._arrays, ("temp", key), shape, dtype)
+
+
+def _buffer_view(store: Dict[object, np.ndarray], key, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    size = math.prod(shape)
+    buf = store.get(key)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = store[key] = np.empty(shape, dtype=dtype)
+    if buf.shape == shape:
+        return buf
+    return buf.reshape(-1)[:size].reshape(shape)
 
 
 def init_params(seed: int, sizes: List[int]) -> DenseParams:
@@ -66,16 +138,20 @@ def init_params(seed: int, sizes: List[int]) -> DenseParams:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least an input and an output size, all >= 1")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    params = DenseParams.from_flat(np.zeros(param_count(sizes)), sizes)
+    for w, fan_in in zip(params.weights, sizes[:-1]):
         bound = (1.0 / fan_in) ** 0.5
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseParams(weights, biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def forward(params: DenseParams, x: np.ndarray, output_activation: str = "linear") -> Tuple[np.ndarray, ForwardCache]:
-    """Batched forward pass: ReLU hidden layers, linear or tanh output."""
+def forward(params: DenseParams, x: np.ndarray, output_activation: str = "linear",
+            ws: Optional[Workspace] = None) -> Tuple[np.ndarray, Workspace]:
+    """Batched forward pass: ReLU hidden layers, linear or tanh output.
+
+    Returns the output and the cache that ``backward`` reads.  Both live in
+    ``ws`` when one is given, else in a new workspace.
+    """
     if output_activation not in ("linear", "tanh"):
         raise ValueError(f"unknown output activation {output_activation!r}")
     x = np.asarray(x, dtype=float)
@@ -83,45 +159,69 @@ def forward(params: DenseParams, x: np.ndarray, output_activation: str = "linear
         raise ValueError(
             f"input shape {x.shape} does not match first layer width {params.weights[0].shape[1]}"
         )
-    pre_activations: List[np.ndarray] = []
-    activations: List[np.ndarray] = []
+    ws = Workspace() if ws is None else ws
+    layers: List[np.ndarray] = []
     h = x
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = h @ w.T + b
-        pre_activations.append(pre)
+        out = ws.array(("layer", i), (x.shape[0], w.shape[0]))
+        np.matmul(h, w.T, out=out)
+        out += b
         if i < last:
-            h = np.maximum(pre, 0.0)
-            activations.append(h)
-        else:
-            h = np.tanh(pre) if output_activation == "tanh" else pre
-    return h, ForwardCache(x, pre_activations, activations, h, output_activation)
+            np.maximum(out, 0.0, out=out)
+        elif output_activation == "tanh":
+            np.tanh(out, out=out)
+        layers.append(out)
+        h = out
+    ws.inputs, ws.layers, ws.output_activation = x, layers, output_activation
+    return h, ws
 
 
-def backward(params: DenseParams, cache: ForwardCache, grad_output: np.ndarray) -> Tuple[DenseParams, np.ndarray]:
+def backward(params: DenseParams, cache: Workspace, grad_output: np.ndarray,
+             ws: Optional[Workspace] = None, param_grads: bool = True,
+             input_grad: bool = True) -> Tuple[Optional[DenseParams], Optional[np.ndarray]]:
     """Exact gradients of the forward map.
 
     Returns (parameter gradients, gradient w.r.t. the input batch) for the
     scalar objective whose gradient at the network output is grad_output.
+    A caller that needs only one of the two turns the other off and gets
+    None in its place: ``param_grads=False`` skips every weight-gradient
+    matmul, ``input_grad=False`` the first layer's input-gradient matmul.
+    The results live in ``ws`` when one is given, else in new arrays.
     """
     grad_output = np.asarray(grad_output, dtype=float)
     if grad_output.shape != cache.output.shape:
         raise ValueError("grad_output shape does not match the forward output")
-    if len(cache.pre_activations) != params.n_layers:
+    if len(cache.layers) != params.n_layers:
         raise ValueError("cache does not match the parameter stack")
 
-    grads = params.zeros_like()
+    ws = Workspace() if ws is None else ws
+    grads = None
+    if param_grads:
+        grads = DenseParams.from_flat(ws.array("grads", params.flat.shape), params.layer_sizes)
     if cache.output_activation == "tanh":
         delta = grad_output * (1.0 - cache.output**2)
     else:
         delta = grad_output
     for i in range(params.n_layers - 1, -1, -1):
-        below = cache.inputs if i == 0 else cache.activations[i - 1]
-        grads.weights[i][...] = delta.T @ below
-        grads.biases[i][...] = delta.sum(axis=0)
-        delta = delta @ params.weights[i]
+        below = cache.inputs if i == 0 else cache.layers[i - 1]
+        if grads is not None:
+            np.matmul(delta.T, below, out=grads.weights[i])
+            np.sum(delta, axis=0, out=grads.biases[i])
+        if i == 0:
+            if not input_grad:
+                return grads, None
+            nxt = ws.array("input_grad", below.shape)
+        else:
+            # Hidden-layer deltas alternate between two scratch buffers.
+            nxt = ws.temp(("delta", i % 2), below.shape)
+        np.matmul(delta, params.weights[i], out=nxt)
         if i > 0:
-            delta = delta * (cache.pre_activations[i - 1] > 0.0)
+            # ReLU passes the gradient where its output is positive.
+            mask = ws.temp("mask", below.shape, bool)
+            np.greater(below, 0.0, out=mask)
+            np.multiply(nxt, mask, out=nxt)
+        delta = nxt
     return grads, delta
 
 
@@ -146,27 +246,38 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    ws: Optional[Workspace] = None,
 ) -> Tuple[DenseParams, AdamState]:
-    """One bias-corrected Adam update; rejects non-finite gradients."""
+    """One bias-corrected Adam update, made in place on ``params`` and
+    ``state``, which are returned.  Rejects non-finite gradients before
+    changing either.  ``ws`` holds the two scratch vectors the step needs.
+    """
     if not grads.is_finite():
         raise FloatingPointError("non-finite gradient, refusing to update parameters")
-    t = state.t + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    new_w, new_b, m_w, m_b, v_w, v_b = [], [], [], [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.m.weights, state.v.weights):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        new_w.append(p - lr * (m / c1) / (np.sqrt(v / c2) + eps))
-        m_w.append(m)
-        v_w.append(v)
-    for p, g, m, v in zip(params.biases, grads.biases, state.m.biases, state.v.biases):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        new_b.append(p - lr * (m / c1) / (np.sqrt(v / c2) + eps))
-        m_b.append(m)
-        v_b.append(v)
-    return DenseParams(new_w, new_b), AdamState(DenseParams(m_w, m_b), DenseParams(v_w, v_b), t)
+    ws = Workspace() if ws is None else ws
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    step = ws.temp("update", g.shape)
+    denom = ws.temp("denom", g.shape)
+    state.t += 1
+    c1 = 1.0 - beta1**state.t
+    c2 = 1.0 - beta2**state.t
+    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=step)
+    step *= g
+    v += step
+    # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    params.flat -= step
+    return params, state
 
 
 # ----------------------------------------------------------------------
@@ -197,28 +308,45 @@ def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> Dict[str, np.ndarray]:
+    """Read a checkpoint written by ``save_arrays``.
+
+    The arrays are views into one buffer holding the file, not copies;
+    callers that keep an entry copy it once into its final home.  A file
+    cut short, or with bytes after its last entry, is rejected with its
+    path and the entry concerned.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(data) != data.size:
+            raise ValueError(f"{path}: file changed size while being read")
+    offset = 0
+
+    def take(n: int, entry: str) -> int:
+        nonlocal offset
+        if offset + n > data.size:
+            raise ValueError(f"{path}: {entry}: truncated, {n} bytes needed at offset "
+                             f"{offset} but {data.size - offset} left")
+        offset += n
+        return offset - n
+
+    if data[:4].tobytes() != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", data, 4)
+    version, count = struct.unpack_from("<II", data, take(12, "header") + 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     arrays: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        n_bytes = 8 * int(np.prod(shape)) if ndim else 8
-        arr = np.frombuffer(data[offset : offset + n_bytes], dtype="<f8").reshape(shape)
-        offset += n_bytes
-        arrays[name] = arr.astype(float)
+    for k in range(count):
+        entry = f"entry {k}"
+        (name_len,) = struct.unpack_from("<H", data, take(2, entry))
+        start = take(name_len, entry)
+        name = data[start : start + name_len].tobytes().decode("utf-8")
+        (ndim,) = struct.unpack_from("<B", data, take(1, name))
+        shape = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim, name))
+        n = int(np.prod(shape)) if ndim else 1
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=n,
+                                     offset=take(8 * n, name)).reshape(shape)
+    if offset != data.size:
+        raise ValueError(f"{path}: {data.size - offset} bytes after the last entry")
     return arrays
 
 
@@ -230,11 +358,12 @@ def pack_params(prefix: str, params: DenseParams, arrays: Dict[str, np.ndarray])
 
 
 def unpack_params(prefix: str, arrays: Dict[str, np.ndarray]) -> DenseParams:
+    """Copy the stack stored under ``prefix`` into a new flat parameter vector."""
     weights, biases = [], []
     i = 0
     while f"{prefix}.w{i}" in arrays:
-        weights.append(np.array(arrays[f"{prefix}.w{i}"]))
-        biases.append(np.array(arrays[f"{prefix}.b{i}"]))
+        weights.append(arrays[f"{prefix}.w{i}"])
+        biases.append(arrays[f"{prefix}.b{i}"])
         i += 1
     if not weights:
         raise ValueError(f"checkpoint holds no parameters under {prefix!r}")

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import neural
-from .neural import AdamState, DenseParams, ForwardCache
+from .neural import AdamState, DenseParams, Workspace
 
 HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
@@ -67,8 +67,8 @@ class PolicyNet:
         return cls(params=neural.init_params(seed, sizes), action_dim=action_dim)
 
 
-def _policy_heads(policy: PolicyNet, obs: np.ndarray):
-    out, cache = neural.forward(policy.params, obs)
+def _policy_heads(policy: PolicyNet, obs: np.ndarray, ws: Optional[Workspace] = None):
+    out, cache = neural.forward(policy.params, obs, ws=ws)
     a = policy.action_dim
     mean = out[:, :a]
     raw = out[:, a:]
@@ -86,9 +86,9 @@ def _squashed_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> 
     return np.sum(gauss - correction, axis=1)
 
 
-def _squash(policy: PolicyNet, obs: np.ndarray, noise: np.ndarray):
+def _squash(policy: PolicyNet, obs: np.ndarray, noise: np.ndarray, ws: Optional[Workspace] = None):
     """Reparameterized squashed sample for a fixed noise draw."""
-    mean, log_std, clamp_mask, cache = _policy_heads(policy, obs)
+    mean, log_std, clamp_mask, cache = _policy_heads(policy, obs, ws)
     std = np.exp(log_std)
     u = mean + std * noise
     action = np.tanh(u)
@@ -130,18 +130,34 @@ class TwinCritics:
         return cls(q1=q1, q2=q2, target_q1=q1.clone(), target_q2=q2.clone())
 
 
-def critic_value(params: DenseParams, obs: np.ndarray, action: np.ndarray) -> Tuple[np.ndarray, ForwardCache]:
-    x = np.concatenate([obs, action], axis=1)
-    out, cache = neural.forward(params, x)
+class Workspaces(NamedTuple):
+    """One ``neural.Workspace`` per network slot; the target critics use the
+    online critics' slots.  A slot left None makes its calls allocate.  The
+    slots may share one scratch workspace, as the update never overlaps
+    two networks' backward or optimizer steps."""
+
+    policy: Optional[Workspace] = None
+    q1: Optional[Workspace] = None
+    q2: Optional[Workspace] = None
+
+
+def critic_value(params: DenseParams, obs: np.ndarray, action: np.ndarray,
+                 ws: Optional[Workspace] = None) -> Tuple[np.ndarray, Workspace]:
+    shape = (obs.shape[0], obs.shape[1] + action.shape[1])
+    x = np.concatenate([obs, action], axis=1, out=None if ws is None else ws.array("input", shape))
+    out, cache = neural.forward(params, x, ws=ws)
     return out[:, 0], cache
 
 
-def soft_update(online: DenseParams, target: DenseParams, tau: float = 0.005) -> DenseParams:
-    """target' = tau * online + (1 - tau) * target, element-wise."""
-    return DenseParams(
-        [tau * w + (1.0 - tau) * t for w, t in zip(online.weights, target.weights)],
-        [tau * b + (1.0 - tau) * t for b, t in zip(online.biases, target.biases)],
-    )
+def soft_update(online: DenseParams, target: DenseParams, tau: float = 0.005,
+                ws: Optional[Workspace] = None) -> DenseParams:
+    """target = tau * online + (1 - tau) * target, element-wise and in place
+    on ``target``, which is returned.  ``ws`` holds the scratch vector."""
+    blend = (Workspace() if ws is None else ws).temp("update", online.flat.shape)
+    np.multiply(online.flat, tau, out=blend)
+    target.flat *= 1.0 - tau
+    target.flat += blend
+    return target
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +251,9 @@ class ReplayBuffer:
     def restore(self, prefix: str, arrays: Dict[str, np.ndarray]) -> None:
         obs = arrays[f"{prefix}.obs"]
         n = obs.shape[0]
+        if n > self.capacity:
+            raise ValueError(f"saved buffer holds {n} transitions, more than its capacity "
+                             f"of {self.capacity} (buffer_capacity)")
         self._grow_to(max(n, 1))
         self._obs[:n] = obs
         self._action[:n] = arrays[f"{prefix}.action"]
@@ -280,48 +299,52 @@ class _ScalarAdam:
 # ----------------------------------------------------------------------
 # Losses and their hand-derived gradients (all finite-difference checked).
 def critic_target(batch: Batch, critics: TwinCritics, policy: PolicyNet,
-                  alpha: float, gamma: float, rng: np.random.Generator) -> np.ndarray:
+                  alpha: float, gamma: float, rng: np.random.Generator,
+                  ws: Workspaces = Workspaces()) -> np.ndarray:
     """Soft bootstrap y = r + gamma (1 - done) (min target Q - alpha log pi)."""
     noise = rng.standard_normal((batch.next_obs.shape[0], policy.action_dim))
-    next_action, next_log_prob, _ = _squash(policy, batch.next_obs, noise)
-    q1, _ = critic_value(critics.target_q1, batch.next_obs, next_action)
-    q2, _ = critic_value(critics.target_q2, batch.next_obs, next_action)
+    next_action, next_log_prob, _ = _squash(policy, batch.next_obs, noise, ws.policy)
+    q1, _ = critic_value(critics.target_q1, batch.next_obs, next_action, ws.q1)
+    q2, _ = critic_value(critics.target_q2, batch.next_obs, next_action, ws.q2)
     soft_value = np.minimum(q1, q2) - alpha * next_log_prob
     return batch.reward + gamma * (1.0 - batch.done) * soft_value
 
 
 def critic_loss_and_grads(params: DenseParams, obs: np.ndarray, action: np.ndarray,
-                          y: np.ndarray) -> Tuple[float, DenseParams]:
-    q, cache = critic_value(params, obs, action)
+                          y: np.ndarray, ws: Optional[Workspace] = None) -> Tuple[float, DenseParams]:
+    """Loss 0.5 mean((Q - y)^2) and its parameter gradient, which lives in
+    ``ws`` when one is given and in new arrays otherwise."""
+    q, cache = critic_value(params, obs, action, ws)
     diff = q - y
     loss = 0.5 * float(np.mean(diff**2))
     grad_out = (diff / diff.shape[0])[:, None]
-    grads, _ = neural.backward(params, cache, grad_out)
+    grads, _ = neural.backward(params, cache, grad_out, ws, input_grad=False)
     return loss, grads
 
 
 def policy_loss_and_grads(policy: PolicyNet, critics: TwinCritics, alpha: float,
-                          obs: np.ndarray, noise: np.ndarray):
+                          obs: np.ndarray, noise: np.ndarray, ws: Workspaces = Workspaces()):
     """Loss mean(alpha log pi - min Q) with its gradient w.r.t. the policy.
 
     The action is reparameterized (a = tanh(mean + std * noise) for the
     given noise), so gradients flow through both the log-probability and
-    the critic input; critic parameters receive no update here.
+    the critic input; critic parameters receive no update here, so the
+    critics back-propagate for their input gradient only.
     """
     batch_size = obs.shape[0]
-    action, log_prob, aux = _squash(policy, obs, noise)
-    q1, c1 = critic_value(critics.q1, obs, action)
-    q2, c2 = critic_value(critics.q2, obs, action)
+    action, log_prob, aux = _squash(policy, obs, noise, ws.policy)
+    q1, c1 = critic_value(critics.q1, obs, action, ws.q1)
+    q2, c2 = critic_value(critics.q2, obs, action, ws.q2)
     q_min = np.minimum(q1, q2)
     loss = float(np.mean(alpha * log_prob - q_min))
 
     # d loss / d action, routed through whichever critic attains the min.
     take1 = (q1 <= q2).astype(float)[:, None]
     gout = -1.0 / batch_size
-    _, gin1 = neural.backward(critics.q1, c1, gout * take1)
-    _, gin2 = neural.backward(critics.q2, c2, gout * (1.0 - take1))
+    _, gin1 = neural.backward(critics.q1, c1, gout * take1, ws.q1, param_grads=False)
+    _, gin2 = neural.backward(critics.q2, c2, gout * (1.0 - take1), ws.q2, param_grads=False)
     obs_dim = obs.shape[1]
-    dloss_daction = (gin1 + gin2)[:, obs_dim:]
+    dloss_daction = gin1[:, obs_dim:] + gin2[:, obs_dim:]
 
     tanh_u = action
     std, eps = aux["std"], aux["noise"]
@@ -334,7 +357,8 @@ def policy_loss_and_grads(policy: PolicyNet, critics: TwinCritics, alpha: float,
         + dloss_daction * one_minus_a2 * eps * std
     ) * aux["clamp_mask"]
     grads, _ = neural.backward(policy.params, aux["cache"],
-                               np.concatenate([g_mean, g_log_std], axis=1))
+                               np.concatenate([g_mean, g_log_std], axis=1), ws.policy,
+                               input_grad=False)
     return loss, grads, log_prob
 
 
@@ -360,18 +384,29 @@ class UpdateInfo:
 
 
 class SacAgent:
-    """Networks, optimizers and temperature bundled with their update rules."""
+    """Networks, optimizers and temperature bundled with their update rules.
+
+    The agent keeps one workspace per network slot, all three sharing one
+    scratch workspace, so after the first update at a given batch size an
+    update allocates no network-sized arrays: parameters, moments and
+    target copies change in place.  The
+    optimizer states start at zero unless ``optimizers`` (policy, q1, q2,
+    temperature) carries them over, as when resuming from a checkpoint.
+    """
 
     def __init__(self, policy: PolicyNet, critics: TwinCritics,
-                 temperature: Temperature, config: TrainConfig):
+                 temperature: Temperature, config: TrainConfig,
+                 optimizers: Optional[Tuple[AdamState, AdamState, AdamState, "_ScalarAdam"]] = None):
         self.policy = policy
         self.critics = critics
         self.temperature = temperature
         self.config = config
-        self.opt_policy = AdamState.zeros_like(policy.params)
-        self.opt_q1 = AdamState.zeros_like(critics.q1)
-        self.opt_q2 = AdamState.zeros_like(critics.q2)
-        self.opt_alpha = _ScalarAdam()
+        if optimizers is None:
+            optimizers = (AdamState.zeros_like(policy.params), AdamState.zeros_like(critics.q1),
+                          AdamState.zeros_like(critics.q2), _ScalarAdam())
+        self.opt_policy, self.opt_q1, self.opt_q2, self.opt_alpha = optimizers
+        scratch = Workspace()
+        self.ws = Workspaces(Workspace(scratch), Workspace(scratch), Workspace(scratch))
 
     @classmethod
     def create(cls, seed: int, obs_dim: int, action_dim: int, config: TrainConfig) -> "SacAgent":
@@ -394,20 +429,19 @@ class SacAgent:
     # -------------------------------------------------------- updates
     def update_critics(self, batch: Batch, y: np.ndarray) -> Tuple[float, float]:
         lr = self.config.learning_rate
-        loss1, grads1 = critic_loss_and_grads(self.critics.q1, batch.obs, batch.action, y)
-        self.critics.q1, self.opt_q1 = neural.adam_step(self.critics.q1, grads1, self.opt_q1, lr=lr)
-        loss2, grads2 = critic_loss_and_grads(self.critics.q2, batch.obs, batch.action, y)
-        self.critics.q2, self.opt_q2 = neural.adam_step(self.critics.q2, grads2, self.opt_q2, lr=lr)
+        loss1, grads1 = critic_loss_and_grads(self.critics.q1, batch.obs, batch.action, y, self.ws.q1)
+        neural.adam_step(self.critics.q1, grads1, self.opt_q1, lr=lr, ws=self.ws.q1)
+        loss2, grads2 = critic_loss_and_grads(self.critics.q2, batch.obs, batch.action, y, self.ws.q2)
+        neural.adam_step(self.critics.q2, grads2, self.opt_q2, lr=lr, ws=self.ws.q2)
         return loss1, loss2
 
     def update_policy(self, batch: Batch, rng: np.random.Generator) -> Tuple[float, np.ndarray]:
         noise = rng.standard_normal((batch.obs.shape[0], self.policy.action_dim))
         loss, grads, log_prob = policy_loss_and_grads(
-            self.policy, self.critics, self.temperature.alpha, batch.obs, noise
+            self.policy, self.critics, self.temperature.alpha, batch.obs, noise, self.ws
         )
-        self.policy.params, self.opt_policy = neural.adam_step(
-            self.policy.params, grads, self.opt_policy, lr=self.config.learning_rate
-        )
+        neural.adam_step(self.policy.params, grads, self.opt_policy,
+                         lr=self.config.learning_rate, ws=self.ws.policy)
         return loss, log_prob
 
     def update_temperature(self, log_prob: np.ndarray) -> float:
@@ -421,13 +455,13 @@ class SacAgent:
 
     def update(self, batch: Batch, rng: np.random.Generator) -> UpdateInfo:
         y = critic_target(batch, self.critics, self.policy,
-                          self.temperature.alpha, self.config.gamma, rng)
+                          self.temperature.alpha, self.config.gamma, rng, self.ws)
         loss1, loss2 = self.update_critics(batch, y)
         policy_loss, log_prob = self.update_policy(batch, rng)
         alpha_loss = self.update_temperature(log_prob)
         tau = self.config.tau
-        self.critics.target_q1 = soft_update(self.critics.q1, self.critics.target_q1, tau)
-        self.critics.target_q2 = soft_update(self.critics.q2, self.critics.target_q2, tau)
+        soft_update(self.critics.q1, self.critics.target_q1, tau, self.ws.q1)
+        soft_update(self.critics.q2, self.critics.target_q2, tau, self.ws.q2)
         info = UpdateInfo(loss1, loss2, policy_loss, alpha_loss, self.temperature.alpha)
         if not info.is_finite():
             raise FloatingPointError(f"non-finite update: {info}")
@@ -483,10 +517,12 @@ class Trainer:
     """Owns the agent, buffer and RNG streams; checkpoints capture enough
     state that a resumed run reproduces the uninterrupted metrics stream."""
 
-    def __init__(self, env, config: TrainConfig):
+    def __init__(self, env, config: TrainConfig, agent: Optional[SacAgent] = None):
         self.env = env
         self.config = config
-        self.agent = SacAgent.create(config.seed, env.observation_dim, env.action_dim, config)
+        if agent is None:
+            agent = SacAgent.create(config.seed, env.observation_dim, env.action_dim, config)
+        self.agent = agent
         self.buffer = ReplayBuffer(config.buffer_capacity, env.observation_dim, env.action_dim)
         self.rng_act = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
         self.rng_learn = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
@@ -596,24 +632,26 @@ class Trainer:
                 f"({meta['obs_dim']}, {meta['action_dim']}), environment has "
                 f"({env.observation_dim}, {env.action_dim})"
             )
-        trainer = cls(env, config)
-        agent = trainer.agent
-        agent.policy.params = neural.unpack_params("policy", arrays)
-        agent.critics.q1 = neural.unpack_params("q1", arrays)
-        agent.critics.q2 = neural.unpack_params("q2", arrays)
-        agent.critics.target_q1 = neural.unpack_params("target_q1", arrays)
-        agent.critics.target_q2 = neural.unpack_params("target_q2", arrays)
-        for name, setter in (("policy", "opt_policy"), ("q1", "opt_q1"), ("q2", "opt_q2")):
-            state = AdamState(
-                m=neural.unpack_params(f"adam.{name}.m", arrays),
-                v=neural.unpack_params(f"adam.{name}.v", arrays),
-                t=int(arrays[f"adam.{name}.t"]),
-            )
-            setattr(agent, setter, state)
+        if meta["seed"] != config.seed:
+            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
+                             f"the run asks for seed {config.seed}")
+        unpack = neural.unpack_params
+        adam = tuple(
+            AdamState(m=unpack(f"adam.{name}.m", arrays), v=unpack(f"adam.{name}.v", arrays),
+                      t=int(arrays[f"adam.{name}.t"]))
+            for name in ("policy", "q1", "q2")
+        )
         alpha_opt = arrays["adam.alpha"]
-        agent.opt_alpha = _ScalarAdam(m=float(alpha_opt[0]), v=float(alpha_opt[1]), t=int(alpha_opt[2]))
-        agent.temperature.log_alpha = float(meta["log_alpha"])
-        agent.temperature.target_entropy = float(meta["target_entropy"])
+        agent = SacAgent(
+            PolicyNet(unpack("policy", arrays), env.action_dim),
+            TwinCritics(q1=unpack("q1", arrays), q2=unpack("q2", arrays),
+                        target_q1=unpack("target_q1", arrays), target_q2=unpack("target_q2", arrays)),
+            Temperature(log_alpha=float(meta["log_alpha"]),
+                        target_entropy=float(meta["target_entropy"])),
+            config,
+            (*adam, _ScalarAdam(m=float(alpha_opt[0]), v=float(alpha_opt[1]), t=int(alpha_opt[2]))),
+        )
+        trainer = cls(env, config, agent)
         trainer.buffer.restore("buffer", arrays)
         trainer.episode = int(meta["episode"])
         trainer.env_steps = int(meta["env_steps"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,46 @@ def test_backward_input_gradient_matches_finite_differences(rng):
             assert abs(gin[b, i] - (up - down) / (2 * h)) < 1e-5
 
 
+def test_backward_skipped_half_matches_full_pass(rng):
+    params = random_net(rng, [4, 6, 5, 3])
+    out, cache = forward(params, rng.standard_normal((5, 4)), "tanh")
+    grad_out = rng.standard_normal(out.shape)
+    full_grads, full_gin = backward(params, cache, grad_out)
+    grads, none_gin = backward(params, cache, grad_out, input_grad=False)
+    none_grads, gin = backward(params, cache, grad_out, param_grads=False)
+    assert none_gin is None and none_grads is None
+    assert np.array_equal(grads.flat, full_grads.flat)
+    assert np.array_equal(gin, full_gin)
+
+
+def test_calls_without_workspace_return_fresh_arrays(rng):
+    params = random_net(rng, [4, 6, 5, 2])
+    x1, x2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    out1, cache1 = forward(params, x1)
+    grads1, gin1 = backward(params, cache1, np.ones_like(out1))
+    kept = out1.copy(), grads1.flat.copy(), gin1.copy()
+    out2, cache2 = forward(params, x2)
+    backward(params, cache2, -np.ones_like(out2))
+    backward(params, cache1, -np.ones_like(out1))
+    for before, after in zip(kept, (out1, grads1.flat, gin1)):
+        assert np.array_equal(before, after)
+
+
+def test_workspace_passes_reuse_their_arrays(rng):
+    params = random_net(rng, [4, 6, 5, 2])
+    ws = neural.Workspace()
+    x = rng.standard_normal((3, 4))
+    out1, cache = forward(params, x, ws=ws)
+    grads1, gin1 = backward(params, cache, np.ones_like(out1), ws)
+    expected = [a.copy() for a in (out1, grads1.flat, gin1)]
+    out2, cache = forward(params, x, ws=ws)
+    grads2, gin2 = backward(params, cache, np.ones_like(out2), ws)
+    for first, second in ((out1, out2), (grads1.flat, grads2.flat), (gin1, gin2)):
+        assert np.shares_memory(first, second)
+    for want, got in zip(expected, (out2, grads2.flat, gin2)):
+        assert np.array_equal(want, got)
+
+
 def test_backward_rejects_mismatched_cache(rng):
     params = random_net(rng, [4, 6, 2])
     out, cache = forward(params, rng.standard_normal((3, 4)))
@@ -158,10 +200,11 @@ def test_backward_rejects_mismatched_cache(rng):
 # ---------------------------------------------------------------- adam
 def test_adam_zero_gradient_keeps_params(rng):
     params = random_net(rng, [3, 4, 2])
+    before = params.clone()
     state = AdamState.zeros_like(params)
     new, state = adam_step(params, params.zeros_like(), state)
     assert state.t == 1
-    for a, b in zip(new.weights, params.weights):
+    for a, b in zip(new.weights, before.weights):
         assert np.allclose(a, b, atol=0.0)
 
 
@@ -169,10 +212,12 @@ def test_adam_first_step_closed_form():
     params = DenseParams([np.array([[1.0, -2.0]])], [np.array([0.5])])
     grads = DenseParams([np.array([[0.3, -0.7]])], [np.array([0.1])])
     lr, eps = 3e-4, 1e-8
+    # adam_step updates params in place, so the expectation reads a copy.
+    before = params.clone()
     new, state = adam_step(params, grads, AdamState.zeros_like(params), lr=lr, eps=eps)
     # With zero moments, the bias-corrected step is lr * g / (|g| + eps).
-    expect_w = params.weights[0] - lr * grads.weights[0] / (np.abs(grads.weights[0]) + eps)
-    expect_b = params.biases[0] - lr * grads.biases[0] / (np.abs(grads.biases[0]) + eps)
+    expect_w = before.weights[0] - lr * grads.weights[0] / (np.abs(grads.weights[0]) + eps)
+    expect_b = before.biases[0] - lr * grads.biases[0] / (np.abs(grads.biases[0]) + eps)
     assert np.allclose(new.weights[0], expect_w, atol=1e-15)
     assert np.allclose(new.biases[0], expect_b, atol=1e-15)
     assert state.t == 1
@@ -250,6 +295,37 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         neural.load_arrays(path)
+
+
+def saved_checkpoint(tmp_path, rng):
+    path = tmp_path / "state.ckpt"
+    neural.save_arrays(path, {"a.w0": rng.standard_normal((7, 3)), "a.b0": rng.standard_normal(7),
+                              "a.scale": np.array(3.25)})
+    return path
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path, rng):
+    path = saved_checkpoint(tmp_path, rng)
+    path.write_bytes(path.read_bytes()[:-13])
+    # Entries are stored in sorted name order, so "a.w0" comes last.
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: a.w0: truncated"):
+        neural.load_arrays(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path, rng):
+    path = saved_checkpoint(tmp_path, rng)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 8 bytes after the last entry"):
+        neural.load_arrays(path)
+
+
+def test_dense_params_are_views_of_one_vector(rng):
+    params = random_net(rng, [3, 5, 2])
+    assert params.flat.size == neural.param_count([3, 5, 2]) == 5 * 4 + 2 * 6
+    params.flat[:] = np.arange(params.flat.size)
+    assert params.weights[0][0, 0] == 0.0 and params.biases[-1][-1] == params.flat.size - 1
+    params.weights[1][...] = -1.0
+    assert np.sum(params.flat == -1.0) == params.weights[1].size
 
 
 def test_pack_unpack_params(rng):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -351,12 +352,13 @@ def test_alpha_stays_positive_under_extreme_gradients():
 
 # ---------------------------------------------------------------- soft updates
 def test_soft_update_extremes(rng):
+    # soft_update writes into its target, so each call gets its own copy.
     a = neural.init_params(0, [3, 8, 2])
     b = neural.init_params(1, [3, 8, 2])
-    full = soft_update(a, b, tau=1.0)
+    full = soft_update(a, b.clone(), tau=1.0)
     for w1, w2 in zip(full.weights, a.weights):
         assert np.array_equal(w1, w2)
-    frozen = soft_update(a, b, tau=0.0)
+    frozen = soft_update(a, b.clone(), tau=0.0)
     for w1, w2 in zip(frozen.weights, b.weights):
         assert np.array_equal(w1, w2)
 
@@ -375,6 +377,107 @@ def test_soft_update_geometric_decay():
         (t - o).ravel() for t, o in zip(target.weights, online.weights)
     ])
     assert np.allclose(gap, (1.0 - tau) ** n * gap0, atol=1e-9)
+
+
+# ---------------------------------------------------------------- in-place update contract
+# The allocating formulas the in-place update replaced, kept as the reference:
+# per-layer lists, every intermediate a new array.
+def reference_forward(params, x, output_activation="linear", ws=None):
+    pre, acts, h = [], [], np.asarray(x, dtype=float)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        pre.append(h @ w.T + b)
+        if i < params.n_layers - 1:
+            h = np.maximum(pre[-1], 0.0)
+            acts.append(h)
+        else:
+            h = np.tanh(pre[-1]) if output_activation == "tanh" else pre[-1]
+    return h, (np.asarray(x, dtype=float), pre, acts, h, output_activation)
+
+
+def reference_backward(params, cache, grad_output, ws=None, param_grads=True, input_grad=True):
+    inputs, pre, acts, output, output_activation = cache
+    weights, biases = [None] * params.n_layers, [None] * params.n_layers
+    delta = grad_output * (1.0 - output**2) if output_activation == "tanh" else grad_output
+    for i in range(params.n_layers - 1, -1, -1):
+        below = inputs if i == 0 else acts[i - 1]
+        weights[i], biases[i] = delta.T @ below, delta.sum(axis=0)
+        delta = delta @ params.weights[i]
+        if i > 0:
+            delta = delta * (pre[i - 1] > 0.0)
+    return DenseParams(weights, biases), delta
+
+
+def reference_adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8, ws=None):
+    t = state.t + 1
+    for store in ("weights", "biases"):
+        for p, g, m, v in zip(*(getattr(x, store) for x in (params, grads, state.m, state.v))):
+            m_new = beta1 * m + (1.0 - beta1) * g
+            v_new = beta2 * v + (1.0 - beta2) * g * g
+            p[...] = p - lr * (m_new / (1.0 - beta1**t)) / (np.sqrt(v_new / (1.0 - beta2**t)) + eps)
+            m[...], v[...] = m_new, v_new
+    state.t = t
+    return params, state
+
+
+def reference_soft_update(online, target, tau=0.005, ws=None):
+    for w, t in zip(online.weights + online.biases, target.weights + target.biases):
+        t[...] = tau * w + (1.0 - tau) * t
+    return target
+
+
+def test_update_matches_allocating_reference_bitwise(monkeypatch):
+    def run(reference):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(neural, "forward", reference_forward)
+                m.setattr(neural, "backward", reference_backward)
+                m.setattr(neural, "adam_step", reference_adam_step)
+                m.setattr(sac, "soft_update", reference_soft_update)
+            agent = SacAgent.create(3, OBS_DIM, ACT_DIM, TrainConfig(episodes=0, batch_size=64))
+            rng = np.random.default_rng(11)
+            infos = [agent.update(make_batch(rng, n=64), rng) for _ in range(20)]
+        return agent, infos
+
+    agent, infos = run(reference=False)
+    ref, ref_infos = run(reference=True)
+    assert infos == ref_infos
+    pairs = [(agent.policy.params, ref.policy.params)]
+    for name in ("q1", "q2", "target_q1", "target_q2"):
+        pairs.append((getattr(agent.critics, name), getattr(ref.critics, name)))
+    for name in ("opt_policy", "opt_q1", "opt_q2"):
+        opt, ref_opt = getattr(agent, name), getattr(ref, name)
+        assert opt.t == ref_opt.t == 20
+        pairs += [(opt.m, ref_opt.m), (opt.v, ref_opt.v)]
+    for got, want in pairs:
+        assert got.flat.tobytes() == want.flat.tobytes()
+
+
+def test_critic_grads_without_workspace_are_fresh(rng):
+    critics = tiny_critics()
+    batch = make_batch(rng)
+    y = rng.standard_normal(6)
+    _, grads1 = critic_loss_and_grads(critics.q1, batch.obs, batch.action, y)
+    kept = grads1.flat.copy()
+    critic_loss_and_grads(critics.q1, batch.obs, batch.action, -y)
+    assert np.array_equal(grads1.flat, kept)
+
+
+def test_update_allocates_little_after_warmup(rng):
+    import tracemalloc
+
+    obs_dim, act_dim, n = 40, 6, 256
+    agent = SacAgent.create(0, obs_dim, act_dim, TrainConfig(episodes=0, batch_size=n))
+    batch = make_batch(rng, n=n, obs_dim=obs_dim, action_dim=act_dim)
+    for _ in range(2):
+        agent.update(batch, rng)
+    tracemalloc.start()
+    try:
+        agent.update(batch, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 256 x 256 float64 activation alone is 0.5 MiB.
+    assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------- replay buffer
@@ -426,6 +529,17 @@ def test_buffer_checkpoint_round_trip():
     assert np.array_equal(restored._obs[: len(buf)], buf._obs[: len(buf)])
 
 
+def test_buffer_restore_into_smaller_capacity_rejected():
+    buf = ReplayBuffer(capacity=8, obs_dim=3, action_dim=2)
+    for i in range(6):
+        buf.add(fill_transition(i))
+    arrays = {}
+    buf.state_arrays("buffer", arrays)
+    small = ReplayBuffer(capacity=4, obs_dim=3, action_dim=2)
+    with pytest.raises(ValueError, match="6 transitions.*capacity of 4"):
+        small.restore("buffer", arrays)
+
+
 # ---------------------------------------------------------------- training loop
 def test_trainer_warmup_contract():
     env = SoftCaptureEnv(small_env_config())
@@ -473,6 +587,14 @@ def test_trainer_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
     assert restored.agent.temperature.log_alpha == trainer.agent.temperature.log_alpha
     assert restored.rng_learn.bit_generator.state == trainer.rng_learn.bit_generator.state
+
+
+def test_trainer_load_rejects_other_seed(tmp_path):
+    env = SoftCaptureEnv(small_env_config())
+    path = tmp_path / "seed0.ckpt"
+    Trainer(env, small_train_config(episodes=1, seed=0)).save(path)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*seed 0.*seed 7"):
+        Trainer.load(path, SoftCaptureEnv(small_env_config()), small_train_config(episodes=2, seed=7))
 
 
 def test_trainer_resume_reproduces_stream(tmp_path):
