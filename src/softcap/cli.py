@@ -38,21 +38,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    # --episodes counts training episodes for train, evaluation episodes
+    # for eval and compare.
+    episodes_key = "eval_episodes" if args.mode in ("eval", "compare") else "episodes"
     overrides = {
         "seed": args.seed,
-        "episodes": args.episodes,
+        episodes_key: args.episodes,
         "checkpoint": args.checkpoint,
         "out_dir": args.out_dir,
         "trace": getattr(args, "trace", None),
     }
     if args.tactile is not None:
         overrides["tactile"] = args.tactile == "on"
-    if args.mode == "eval" and args.episodes is not None:
-        overrides["eval_episodes"] = args.episodes
-        overrides["episodes"] = None
-    if args.mode == "compare" and args.episodes is not None:
-        overrides["eval_episodes"] = args.episodes
-        overrides["episodes"] = None
     try:
         cfg = harness.load_config(args.mode, args.config, overrides)
     except (ValueError, OSError) as exc:

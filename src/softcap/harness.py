@@ -68,6 +68,9 @@ class RunConfig:
             raise ValueError("eval mode needs --checkpoint")
         if self.mode == "replay-export" and not self.trace:
             raise ValueError("replay-export mode needs --trace")
+        # The run-level seed and episode count are the only source of the
+        # learner's, so every construction and ``replace`` stays coherent.
+        self.train = replace(self.train, seed=self.seed, episodes=self.episodes)
 
 
 def _build_dataclass(cls, data: Dict, label: str):
@@ -91,7 +94,9 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
     """Build a RunConfig from an optional YAML file plus flag overrides.
 
     Unknown keys and invalid values fail loudly; nothing is silently
-    replaced by a default.
+    replaced by a default.  The learner's seed and episode count follow
+    the top-level ``seed`` and ``episodes``, so a ``train:`` mapping that
+    sets either is rejected.
     """
     import yaml
 
@@ -113,15 +118,15 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
             if not isinstance(data["env"], dict):
                 raise ValueError("env section must be a mapping")
             data["env"]["tactile_enabled"] = value
-        elif key == "train_episodes":
-            data.setdefault("train", {})
-            data["train"]["episodes"] = value
         else:
             data[key] = value
-    cfg = _build_dataclass(RunConfig, data, "run config")
-    # Keep the nested episode/seed settings coherent with the run-level ones.
-    cfg.train = replace(cfg.train, seed=cfg.seed, episodes=cfg.episodes)
-    return cfg
+    train = data.get("train")
+    if isinstance(train, dict):
+        for key in ("seed", "episodes"):
+            if key in train:
+                raise ValueError(f"train.{key} is not a setting of its own: "
+                                 f"set the top-level '{key}' key instead")
+    return _build_dataclass(RunConfig, data, "run config")
 
 
 def config_snapshot(cfg: RunConfig) -> Dict:
@@ -182,49 +187,51 @@ def _parse_metrics_rows(path: Path) -> Tuple[List[str], List[List[str]]]:
         return header, list(reader)
 
 
-def run_train(cfg: RunConfig) -> int:
-    def body(out: Path) -> Dict:
-        env = SoftCaptureEnv(cfg.env)
-        if cfg.checkpoint:
-            trainer = Trainer.load(cfg.checkpoint, env, cfg.train)
-        else:
-            trainer = Trainer(env, cfg.train)
+def _train(cfg: RunConfig, out: Path) -> Dict:
+    """Train into ``out``: ``metrics.csv``, periodic and final checkpoints."""
+    env = SoftCaptureEnv(cfg.env)
+    if cfg.checkpoint:
+        trainer = Trainer.load(cfg.checkpoint, env, cfg.train)
+    else:
+        trainer = Trainer(env, cfg.train)
 
-        metrics_path = out / "metrics.csv"
-        kept_rows: List[List[str]] = []
-        if trainer.episode > 0 and metrics_path.exists():
-            _, old_rows = _parse_metrics_rows(metrics_path)
-            kept_rows = old_rows[: trainer.episode]
-        returns = [float(r[3]) for r in kept_rows]
-        successes = [int(r[8]) for r in kept_rows]
+    metrics_path = out / "metrics.csv"
+    kept_rows: List[List[str]] = []
+    if trainer.episode > 0 and metrics_path.exists():
+        _, old_rows = _parse_metrics_rows(metrics_path)
+        kept_rows = old_rows[: trainer.episode]
+    returns = [float(r[3]) for r in kept_rows]
+    successes = [int(r[8]) for r in kept_rows]
 
-        with open(metrics_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(sac.EpisodeMetrics.COLUMNS)
-            for row in kept_rows:
-                writer.writerow(row)
+    with open(metrics_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sac.EpisodeMetrics.COLUMNS)
+        for row in kept_rows:
+            writer.writerow(row)
+        fh.flush()
+        for metrics in trainer.run():
+            writer.writerow(metrics.to_row())
             fh.flush()
-            for metrics in trainer.run():
-                writer.writerow(metrics.to_row())
-                fh.flush()
-                returns.append(metrics.episode_return)
-                successes.append(int(metrics.success))
-                done = metrics.episode + 1
-                if cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
-                    trainer.save(out / f"checkpoint_ep{done:06d}.ckpt")
-        trainer.save(out / "checkpoint_final.ckpt")
+            returns.append(metrics.episode_return)
+            successes.append(int(metrics.success))
+            done = metrics.episode + 1
+            if cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
+                trainer.save(out / f"checkpoint_ep{done:06d}.ckpt")
+    trainer.save(out / "checkpoint_final.ckpt")
 
-        tail = returns[-10:] if returns else []
-        return {
-            "episodes": trainer.episode,
-            "env_steps": trainer.env_steps,
-            "updates": trainer.updates,
-            "mean_return": float(np.mean(returns)) if returns else None,
-            "mean_return_last_10": float(np.mean(tail)) if tail else None,
-            "success_rate": float(np.mean(successes)) if successes else None,
-        }
+    tail = returns[-10:] if returns else []
+    return {
+        "episodes": trainer.episode,
+        "env_steps": trainer.env_steps,
+        "updates": trainer.updates,
+        "mean_return": float(np.mean(returns)) if returns else None,
+        "mean_return_last_10": float(np.mean(tail)) if tail else None,
+        "success_rate": float(np.mean(successes)) if successes else None,
+    }
 
-    return _run(cfg, body)
+
+def run_train(cfg: RunConfig) -> int:
+    return _run(cfg, lambda out: _train(cfg, out))
 
 
 # ----------------------------------------------------------------------
@@ -300,15 +307,17 @@ def _load_checked_policy(checkpoint: str, env: SoftCaptureEnv):
     return policy
 
 
-def run_eval(cfg: RunConfig) -> int:
-    def body(out: Path) -> Dict:
-        env = SoftCaptureEnv(cfg.env)
-        policy = _load_checked_policy(cfg.checkpoint, env)
-        rows = _evaluate_policy(policy, env, cfg.seed, cfg.eval_episodes, out)
-        _write_eval_csv(out / "eval_metrics.csv", rows)
-        return _eval_summary(rows)
+def _eval(cfg: RunConfig, out: Path) -> Dict:
+    """Evaluate ``cfg.checkpoint`` into ``out``: traces and ``eval_metrics.csv``."""
+    env = SoftCaptureEnv(cfg.env)
+    policy = _load_checked_policy(cfg.checkpoint, env)
+    rows = _evaluate_policy(policy, env, cfg.seed, cfg.eval_episodes, out)
+    _write_eval_csv(out / "eval_metrics.csv", rows)
+    return _eval_summary(rows)
 
-    return _run(cfg, body)
+
+def run_eval(cfg: RunConfig) -> int:
+    return _run(cfg, lambda out: _eval(cfg, out))
 
 
 # ----------------------------------------------------------------------
@@ -317,34 +326,28 @@ def run_compare(cfg: RunConfig) -> int:
     """Matched-seed tactile vs non-tactile comparison.
 
     Both arms share the evaluation seeds (hence identical randomization
-    streams); only the tactile observation channel differs.  No ordering
-    between the arms is asserted, the table just reports both."""
+    streams); only the tactile observation channel differs.  An arm with
+    no checkpoint trains through the ``train`` body into ``arm_<label>/``;
+    every arm is evaluated through the ``eval`` body.  No ordering between
+    the arms is asserted, the table just reports both."""
 
     def body(out: Path) -> Dict:
         arms = [
             ("a", cfg.compare.tactile_a, cfg.compare.checkpoint_a),
             ("b", cfg.compare.tactile_b, cfg.compare.checkpoint_b),
         ]
+        train_episodes = cfg.compare.train_episodes
+        if train_episodes is None:
+            train_episodes = cfg.episodes
         table = []
         for label, tactile, checkpoint in arms:
             arm_out = out / f"arm_{label}"
             arm_out.mkdir(parents=True, exist_ok=True)
-            env_cfg = replace(cfg.env, tactile_enabled=tactile)
-            env = SoftCaptureEnv(env_cfg)
+            arm = replace(cfg, env=replace(cfg.env, tactile_enabled=tactile))
             if checkpoint is None:
-                train_eps = cfg.compare.train_episodes or cfg.episodes
-                trainer = Trainer(env, replace(cfg.train, episodes=train_eps, seed=cfg.seed))
-                with open(arm_out / "metrics.csv", "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(sac.EpisodeMetrics.COLUMNS)
-                    for metrics in trainer.run():
-                        writer.writerow(metrics.to_row())
+                _train(replace(arm, episodes=train_episodes, checkpoint=None), arm_out)
                 checkpoint = str(arm_out / "checkpoint_final.ckpt")
-                trainer.save(checkpoint)
-            policy = _load_checked_policy(checkpoint, env)
-            rows = _evaluate_policy(policy, env, cfg.seed, cfg.eval_episodes, arm_out)
-            _write_eval_csv(arm_out / "eval_metrics.csv", rows)
-            summary = _eval_summary(rows)
+            summary = _eval(replace(arm, checkpoint=checkpoint), arm_out)
             summary.update({"arm": label, "tactile": int(tactile)})
             table.append(summary)
 

@@ -99,9 +99,8 @@ class Workspace:
     ``scratch`` workspace when one is given: workspaces whose calls never
     overlap can share a single set of them.
 
-    ``forward`` also records here what ``backward`` reads: the input batch,
-    each layer's output (post-ReLU for hidden layers) and the output
-    activation.
+    ``forward`` also records here what ``backward`` reads: the input batch
+    and each layer's output (post-ReLU for hidden layers).
     """
 
     def __init__(self, scratch: Optional["Workspace"] = None):
@@ -109,7 +108,6 @@ class Workspace:
         self._scratch = self if scratch is None else scratch
         self.inputs: Optional[np.ndarray] = None
         self.layers: List[np.ndarray] = []
-        self.output_activation = "linear"
 
     @property
     def output(self) -> np.ndarray:
@@ -145,15 +143,13 @@ def init_params(seed: int, sizes: List[int]) -> DenseParams:
     return params
 
 
-def forward(params: DenseParams, x: np.ndarray, output_activation: str = "linear",
+def forward(params: DenseParams, x: np.ndarray,
             ws: Optional[Workspace] = None) -> Tuple[np.ndarray, Workspace]:
-    """Batched forward pass: ReLU hidden layers, linear or tanh output.
+    """Batched forward pass: ReLU hidden layers, linear output.
 
     Returns the output and the cache that ``backward`` reads.  Both live in
     ``ws`` when one is given, else in a new workspace.
     """
-    if output_activation not in ("linear", "tanh"):
-        raise ValueError(f"unknown output activation {output_activation!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
@@ -169,11 +165,9 @@ def forward(params: DenseParams, x: np.ndarray, output_activation: str = "linear
         out += b
         if i < last:
             np.maximum(out, 0.0, out=out)
-        elif output_activation == "tanh":
-            np.tanh(out, out=out)
         layers.append(out)
         h = out
-    ws.inputs, ws.layers, ws.output_activation = x, layers, output_activation
+    ws.inputs, ws.layers = x, layers
     return h, ws
 
 
@@ -199,10 +193,7 @@ def backward(params: DenseParams, cache: Workspace, grad_output: np.ndarray,
     grads = None
     if param_grads:
         grads = DenseParams.from_flat(ws.array("grads", params.flat.shape), params.layer_sizes)
-    if cache.output_activation == "tanh":
-        delta = grad_output * (1.0 - cache.output**2)
-    else:
-        delta = grad_output
+    delta = grad_output
     for i in range(params.n_layers - 1, -1, -1):
         below = cache.inputs if i == 0 else cache.layers[i - 1]
         if grads is not None:
@@ -292,19 +283,29 @@ _VERSION = 1
 
 
 def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f8")
-            if not arr.flags.c_contiguous:
-                arr = arr.copy()
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write ``arrays`` to ``path`` by way of ``<path>.tmp``, which replaces
+    ``path`` only once complete, so a save that fails part-way leaves any
+    previous file at ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name], dtype="<f8")
+                if not arr.flags.c_contiguous:
+                    arr = arr.copy()
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_arrays(path) -> Dict[str, np.ndarray]:

@@ -179,8 +179,9 @@ class Batch(NamedTuple):
 
 
 class ReplayBuffer:
-    """Uniform ring buffer over transitions.  Storage grows on demand up to
-    the fixed capacity, after which the oldest records are overwritten."""
+    """Uniform ring buffer over transitions.  Storage for the full capacity
+    is allocated once, zero-filled, so the OS backs it with memory only as
+    rows are written; once full, the oldest records are overwritten."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
@@ -190,34 +191,16 @@ class ReplayBuffer:
         self.action_dim = action_dim
         self._size = 0
         self._cursor = 0
-        self._obs = np.zeros((0, obs_dim))
-        self._action = np.zeros((0, action_dim))
-        self._reward = np.zeros(0)
-        self._next_obs = np.zeros((0, obs_dim))
-        self._done = np.zeros(0)
+        self._obs = np.zeros((capacity, obs_dim))
+        self._action = np.zeros((capacity, action_dim))
+        self._reward = np.zeros(capacity)
+        self._next_obs = np.zeros((capacity, obs_dim))
+        self._done = np.zeros(capacity)
 
     def __len__(self) -> int:
         return self._size
 
-    def _grow_to(self, n: int) -> None:
-        n = min(n, self.capacity)
-        if n <= self._obs.shape[0]:
-            return
-
-        def grow(a, shape):
-            out = np.zeros(shape)
-            out[: a.shape[0]] = a
-            return out
-
-        self._obs = grow(self._obs, (n, self.obs_dim))
-        self._action = grow(self._action, (n, self.action_dim))
-        self._reward = grow(self._reward, (n,))
-        self._next_obs = grow(self._next_obs, (n, self.obs_dim))
-        self._done = grow(self._done, (n,))
-
     def add(self, transition: Transition) -> None:
-        if self._cursor >= self._obs.shape[0]:
-            self._grow_to(max(1024, 2 * self._obs.shape[0]))
         i = self._cursor
         self._obs[i] = transition.state
         self._action[i] = transition.action
@@ -254,7 +237,6 @@ class ReplayBuffer:
         if n > self.capacity:
             raise ValueError(f"saved buffer holds {n} transitions, more than its capacity "
                              f"of {self.capacity} (buffer_capacity)")
-        self._grow_to(max(n, 1))
         self._obs[:n] = obs
         self._action[:n] = arrays[f"{prefix}.action"]
         self._reward[:n] = arrays[f"{prefix}.reward"]
@@ -419,13 +401,6 @@ class SacAgent:
         temperature = Temperature(log_alpha=config.initial_log_alpha, target_entropy=target_entropy)
         return cls(policy, critics, temperature, config)
 
-    # -------------------------------------------------------- acting
-    def sample_action(self, obs, rng) -> Tuple[np.ndarray, float]:
-        return sample_action(self.policy, obs, rng)
-
-    def deterministic_action(self, obs) -> np.ndarray:
-        return deterministic_action(self.policy, obs)
-
     # -------------------------------------------------------- updates
     def update_critics(self, batch: Batch, y: np.ndarray) -> Tuple[float, float]:
         lr = self.config.learning_rate
@@ -546,7 +521,7 @@ class Trainer:
             if self.env_steps < cfg.warmup_steps:
                 action = self.rng_act.uniform(-1.0, 1.0, self.env.action_dim)
             else:
-                action, _ = self.agent.sample_action(obs, self.rng_act)
+                action, _ = sample_action(self.agent.policy, obs, self.rng_act)
             result = self.env.step(action)
             self.buffer.add(Transition(obs, action, result.reward, result.obs, float(result.done)))
             obs = result.obs
@@ -659,11 +634,6 @@ class Trainer:
         trainer.rng_act.bit_generator.state = meta["rng_act"]
         trainer.rng_learn.bit_generator.state = meta["rng_learn"]
         return trainer
-
-
-def train(env, config: TrainConfig) -> Iterator[EpisodeMetrics]:
-    """Run the full training loop, yielding one metrics record per episode."""
-    yield from Trainer(env, config).run()
 
 
 def load_policy(path) -> Tuple[PolicyNet, Dict]:

@@ -1,12 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from softcap import cli, harness
+from softcap import cli, harness, sac
 from softcap.harness import RunConfig, load_config, run_compare, run_eval, run_replay_export, run_train
 
 
@@ -36,13 +37,6 @@ def make_config(mode, out_dir, **kwargs) -> RunConfig:
     return harness._build_dataclass(RunConfig, data, "run config")
 
 
-def finalize(cfg: RunConfig) -> RunConfig:
-    from dataclasses import replace
-
-    cfg.train = replace(cfg.train, seed=cfg.seed, episodes=cfg.episodes)
-    return cfg
-
-
 # ---------------------------------------------------------------- config
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.yaml"
@@ -54,6 +48,23 @@ def test_load_config_file_and_overrides(tmp_path):
     assert cfg.env.tactile_enabled is True
     assert cfg.train.seed == 9
     assert cfg.train.episodes == 5
+
+
+def test_run_config_owns_train_seed_and_episodes(tmp_path):
+    cfg = make_config("train", tmp_path / "run", episodes=4, seed=6)
+    assert (cfg.train.seed, cfg.train.episodes) == (6, 4)
+    cfg = replace(cfg, episodes=9, seed=2)
+    assert (cfg.train.seed, cfg.train.episodes) == (2, 9)
+
+
+@pytest.mark.parametrize("key", ["seed", "episodes"])
+def test_load_config_rejects_train_seed_and_episodes(tmp_path, key):
+    data = small_run_dict(tmp_path / "out")
+    data["train"][key] = 50
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ValueError, match=f"train.{key}.*top-level '{key}'"):
+        load_config("train", str(path))
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -75,7 +86,7 @@ def test_load_config_rejects_invalid_values(tmp_path):
 
 # ---------------------------------------------------------------- train
 def test_train_smoke_writes_metrics_and_manifest(tmp_path):
-    cfg = finalize(make_config("train", tmp_path / "run"))
+    cfg = make_config("train", tmp_path / "run")
     assert run_train(cfg) == 0
     out = tmp_path / "run"
     with open(out / "metrics.csv") as fh:
@@ -91,8 +102,8 @@ def test_train_smoke_writes_metrics_and_manifest(tmp_path):
 
 
 def test_train_same_seed_byte_identical(tmp_path):
-    cfg1 = finalize(make_config("train", tmp_path / "a", seed=3))
-    cfg2 = finalize(make_config("train", tmp_path / "b", seed=3))
+    cfg1 = make_config("train", tmp_path / "a", seed=3)
+    cfg2 = make_config("train", tmp_path / "b", seed=3)
     assert run_train(cfg1) == 0
     assert run_train(cfg2) == 0
     m1 = (tmp_path / "a" / "metrics.csv").read_bytes()
@@ -104,15 +115,15 @@ def test_train_same_seed_byte_identical(tmp_path):
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):
-    straight = finalize(make_config("train", tmp_path / "straight", episodes=6, seed=7))
+    straight = make_config("train", tmp_path / "straight", episodes=6, seed=7)
     assert run_train(straight) == 0
 
-    part = finalize(make_config("train", tmp_path / "resumed", episodes=3, seed=7))
+    part = make_config("train", tmp_path / "resumed", episodes=3, seed=7)
     assert run_train(part) == 0
-    resumed = finalize(make_config(
+    resumed = make_config(
         "train", tmp_path / "resumed", episodes=6, seed=7,
         checkpoint=str(tmp_path / "resumed" / "checkpoint_final.ckpt"),
-    ))
+    )
     assert run_train(resumed) == 0
     assert (tmp_path / "straight" / "metrics.csv").read_bytes() == (
         tmp_path / "resumed" / "metrics.csv"
@@ -122,7 +133,7 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 def test_unwritable_output_dir_fails_cleanly(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where a directory must go")
-    cfg = finalize(make_config("train", blocker / "run"))
+    cfg = make_config("train", blocker / "run")
     assert run_train(cfg) == 1
     assert "output directory" in capsys.readouterr().err
 
@@ -130,7 +141,7 @@ def test_unwritable_output_dir_fails_cleanly(tmp_path, capsys):
 def test_train_failure_still_writes_manifest(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
-    cfg = finalize(make_config("train", tmp_path / "run", checkpoint=str(bad)))
+    cfg = make_config("train", tmp_path / "run", checkpoint=str(bad))
     assert run_train(cfg) == 1
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -143,14 +154,14 @@ def trained_checkpoint(tmp_path, tactile=False, episodes=1, seed=0) -> str:
     data = small_run_dict(out, episodes=episodes, seed=seed)
     data["env"]["tactile_enabled"] = tactile
     data["mode"] = "train"
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_train(cfg) == 0
     return str(out / "checkpoint_final.ckpt")
 
 
 def test_eval_untrained_policy_never_succeeds(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
-    cfg = finalize(make_config("eval", tmp_path / "eval", checkpoint=ckpt))
+    cfg = make_config("eval", tmp_path / "eval", checkpoint=ckpt)
     assert run_eval(cfg) == 0
     manifest = json.loads((tmp_path / "eval" / "run_manifest.json").read_text())
     summary = manifest["final_summary"]
@@ -164,7 +175,7 @@ def test_eval_untrained_policy_never_succeeds(tmp_path):
 
 def test_eval_zero_episodes_is_empty_success(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
-    cfg = finalize(make_config("eval", tmp_path / "eval0", checkpoint=ckpt, eval_episodes=0))
+    cfg = make_config("eval", tmp_path / "eval0", checkpoint=ckpt, eval_episodes=0)
     assert run_eval(cfg) == 0
     manifest = json.loads((tmp_path / "eval0" / "run_manifest.json").read_text())
     assert manifest["final_summary"] == {"episodes": 0}
@@ -176,7 +187,7 @@ def test_eval_refuses_width_mismatch(tmp_path):
     data["env"]["tactile_enabled"] = False  # 39-wide env
     data["mode"] = "eval"
     data["checkpoint"] = ckpt
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_eval(cfg) == 1
     manifest = json.loads((tmp_path / "eval_bad" / "run_manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -185,7 +196,7 @@ def test_eval_refuses_width_mismatch(tmp_path):
 
 def test_eval_success_rate_is_exact_count(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
-    cfg = finalize(make_config("eval", tmp_path / "evalc", checkpoint=ckpt))
+    cfg = make_config("eval", tmp_path / "evalc", checkpoint=ckpt)
     run_eval(cfg)
     with open(tmp_path / "evalc" / "eval_metrics.csv") as fh:
         reader = csv.DictReader(fh)
@@ -205,7 +216,7 @@ def test_compare_control_case_identical_rows(tmp_path):
         "tactile_a": False,
         "tactile_b": False,
     }
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_compare(cfg) == 0
     with open(tmp_path / "cmp" / "comparison.csv") as fh:
         rows = list(csv.reader(fh))
@@ -219,7 +230,7 @@ def test_compare_trains_both_arms_when_no_checkpoints(tmp_path):
     data = small_run_dict(tmp_path / "cmp2", episodes=1)
     data["mode"] = "compare"
     data["compare"] = {"train_episodes": 1}
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_compare(cfg) == 0
     comparison = (tmp_path / "cmp2" / "comparison.csv").read_text()
     assert (tmp_path / "cmp2" / "arm_a" / "checkpoint_final.ckpt").exists()
@@ -232,6 +243,17 @@ def test_compare_trains_both_arms_when_no_checkpoints(tmp_path):
     assert arms[0]["tactile"] == 1 and arms[1]["tactile"] == 0
     for arm in arms:  # both success rates reported, no ordering asserted
         assert 0.0 <= arm["success_rate"] <= 1.0
+
+
+def test_compare_zero_train_episodes_is_honoured(tmp_path):
+    data = small_run_dict(tmp_path / "cmp0", episodes=3)
+    data["mode"] = "compare"
+    data["compare"] = {"train_episodes": 0}
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    assert run_compare(cfg) == 0
+    for arm in ("arm_a", "arm_b"):
+        rows = (tmp_path / "cmp0" / arm / "metrics.csv").read_text().splitlines()
+        assert rows == [",".join(sac.EpisodeMetrics.COLUMNS)]
 
 
 # ---------------------------------------------------------------- replay export
@@ -254,7 +276,7 @@ def test_replay_export_outputs_and_streak(tmp_path):
     data = small_run_dict(tmp_path / "exp")
     data["mode"] = "replay-export"
     data["trace"] = str(trace)
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_replay_export(cfg) == 0
     out = tmp_path / "exp"
     rewards = (out / "trace_rewards.csv").read_text()
@@ -276,7 +298,7 @@ def test_replay_export_flags_long_streak(tmp_path):
     data = small_run_dict(tmp_path / "expg")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_replay_export(cfg) == 0
     summary = json.loads((tmp_path / "expg" / "good_summary.json").read_text())
     assert summary["longest_success_streak"] == 25
@@ -288,14 +310,14 @@ def test_replay_export_is_idempotent_on_reward_series(tmp_path):
     data = small_run_dict(tmp_path / "exp1")
     data["mode"] = "replay-export"
     data["trace"] = str(trace)
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_replay_export(cfg) == 0
     first = tmp_path / "exp1" / "trace_rewards.csv"
 
     data2 = small_run_dict(tmp_path / "exp2")
     data2["mode"] = "replay-export"
     data2["trace"] = str(first)
-    cfg2 = finalize(harness._build_dataclass(RunConfig, data2, "run config"))
+    cfg2 = harness._build_dataclass(RunConfig, data2, "run config")
     assert run_replay_export(cfg2) == 0
     second = tmp_path / "exp2" / "trace_rewards_rewards.csv"
     assert first.read_bytes() == second.read_bytes()
@@ -307,7 +329,7 @@ def test_replay_export_empty_trace_warns(tmp_path, capsys):
     data = small_run_dict(tmp_path / "expe")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_replay_export(cfg) == 0
     assert "warning" in capsys.readouterr().err
     rewards = (tmp_path / "expe" / "empty_rewards.csv").read_text()
@@ -320,7 +342,7 @@ def test_replay_export_malformed_trace_fails_with_line(tmp_path):
     data = small_run_dict(tmp_path / "expb")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = finalize(harness._build_dataclass(RunConfig, data, "run config"))
+    cfg = harness._build_dataclass(RunConfig, data, "run config")
     assert run_replay_export(cfg) == 1
     manifest = json.loads((tmp_path / "expb" / "run_manifest.json").read_text())
     assert ":2" in manifest["error"]
@@ -345,6 +367,21 @@ def test_cli_eval_episode_override(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "cli_eval" / "run_manifest.json").read_text())
     assert manifest["final_summary"]["episodes"] == 1
+
+
+def test_cli_smoke_config_trains_and_compares(tmp_path):
+    smoke = str(Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
+    assert cli.main(["train", "--config", smoke, "--out", str(tmp_path / "train")]) == 0
+    assert cli.main(["compare", "--config", smoke, "--out", str(tmp_path / "cmp")]) == 0
+    with open(tmp_path / "train" / "metrics.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3  # smoke.yaml: episodes 3
+    with open(tmp_path / "cmp" / "comparison.csv") as fh:
+        assert [r["arm"] for r in csv.DictReader(fh)] == ["a", "b"]
+    # Arm a is the tactile arm, trained through the train body with the
+    # same seed, so its periodic checkpoint matches the train run's.
+    assert (tmp_path / "cmp" / "arm_a" / "checkpoint_ep000002.ckpt").read_bytes() == (
+        tmp_path / "train" / "checkpoint_ep000002.ckpt"
+    ).read_bytes()
 
 
 def test_cli_bad_config_fails_loudly(tmp_path, capsys):

@@ -382,22 +382,21 @@ def test_soft_update_geometric_decay():
 # ---------------------------------------------------------------- in-place update contract
 # The allocating formulas the in-place update replaced, kept as the reference:
 # per-layer lists, every intermediate a new array.
-def reference_forward(params, x, output_activation="linear", ws=None):
+def reference_forward(params, x, ws=None):
     pre, acts, h = [], [], np.asarray(x, dtype=float)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre.append(h @ w.T + b)
+        h = pre[-1]
         if i < params.n_layers - 1:
-            h = np.maximum(pre[-1], 0.0)
+            h = np.maximum(h, 0.0)
             acts.append(h)
-        else:
-            h = np.tanh(pre[-1]) if output_activation == "tanh" else pre[-1]
-    return h, (np.asarray(x, dtype=float), pre, acts, h, output_activation)
+    return h, (np.asarray(x, dtype=float), pre, acts)
 
 
 def reference_backward(params, cache, grad_output, ws=None, param_grads=True, input_grad=True):
-    inputs, pre, acts, output, output_activation = cache
+    inputs, pre, acts = cache
     weights, biases = [None] * params.n_layers, [None] * params.n_layers
-    delta = grad_output * (1.0 - output**2) if output_activation == "tanh" else grad_output
+    delta = grad_output
     for i in range(params.n_layers - 1, -1, -1):
         below = inputs if i == 0 else acts[i - 1]
         weights[i], biases[i] = delta.T @ below, delta.sum(axis=0)
@@ -540,6 +539,21 @@ def test_buffer_restore_into_smaller_capacity_rejected():
         small.restore("buffer", arrays)
 
 
+def test_buffer_restore_then_add_keeps_storage():
+    buf = ReplayBuffer(capacity=100, obs_dim=3, action_dim=2)
+    for i in range(40):
+        buf.add(fill_transition(i))
+    arrays = {}
+    buf.state_arrays("buffer", arrays)
+    restored = ReplayBuffer(capacity=100, obs_dim=3, action_dim=2)
+    restored.restore("buffer", arrays)
+    storage = restored._obs
+    restored.add(fill_transition(40))
+    assert restored._obs is storage
+    assert len(restored) == 41
+    assert np.array_equal(restored._reward[:41], np.arange(41.0))
+
+
 # ---------------------------------------------------------------- training loop
 def test_trainer_warmup_contract():
     env = SoftCaptureEnv(small_env_config())
@@ -639,10 +653,3 @@ def test_load_policy_reads_meta(tmp_path):
     obs = np.zeros(40)
     a = deterministic_action(policy, obs)
     assert a.shape == (6,)
-
-
-def test_train_function_streams(tmp_path):
-    env = SoftCaptureEnv(small_env_config())
-    stream = sac.train(env, small_train_config(episodes=2))
-    metrics = list(stream)
-    assert [m.episode for m in metrics] == [0, 1]
