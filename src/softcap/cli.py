@@ -9,14 +9,29 @@ from typing import Optional
 from . import harness
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="YAML run configuration file")
-    parser.add_argument("--seed", type=int, help="master seed for the run")
-    parser.add_argument("--tactile", choices=("on", "off"),
-                        help="enable or disable the contact-force observation entry")
-    parser.add_argument("--episodes", type=int, help="episode count for this mode")
-    parser.add_argument("--checkpoint", help="checkpoint file to load or resume from")
-    parser.add_argument("--out", dest="out_dir", help="output directory for this run")
+# Every flag, and the flags each mode reads; a mode accepts no other.
+_FLAGS = {
+    "config": (("--config",), {"help": "YAML run configuration file"}),
+    "seed": (("--seed",), {"type": int, "help": "master seed for the run"}),
+    "tactile": (("--tactile",), {"choices": ("on", "off"),
+                                 "help": "enable or disable the contact-force observation entry"}),
+    "episodes": (("--episodes",), {"type": int, "help": "episode count for this mode"}),
+    "checkpoint": (("--checkpoint",), {"help": "checkpoint file to load or resume from"}),
+    "trace": (("--trace",), {"help": "episode trace file to export"}),
+    "out_dir": (("--out",), {"dest": "out_dir", "help": "output directory for this run"}),
+}
+_MODES = {
+    "train": ("train an agent, writing metrics and checkpoints",
+              ("config", "seed", "tactile", "episodes", "checkpoint", "out_dir")),
+    "eval": ("evaluate a checkpoint with the deterministic policy",
+             ("config", "seed", "tactile", "episodes", "checkpoint", "out_dir")),
+    # Each arm sets its own tactile flag and checkpoint in the config's
+    # compare section.
+    "compare": ("matched-seed tactile vs non-tactile comparison",
+                ("config", "seed", "episodes", "out_dir")),
+    "replay-export": ("turn an episode trace into plot-ready series",
+                      ("config", "trace", "out_dir")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,14 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate soft-capture agents in the bundled simulator.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    p_train = sub.add_parser("train", help="train an agent, writing metrics and checkpoints")
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint with the deterministic policy")
-    p_cmp = sub.add_parser("compare", help="matched-seed tactile vs non-tactile comparison")
-    p_exp = sub.add_parser("replay-export", help="turn an episode trace into plot-ready series")
-    p_exp.add_argument("--trace", help="episode trace file to export")
-    for p in (p_train, p_eval, p_cmp, p_exp):
-        _add_common_flags(p)
+    for mode, (help_text, flags) in _MODES.items():
+        p = sub.add_parser(mode, help=help_text)
+        for name in flags:
+            args, kwargs = _FLAGS[name]
+            p.add_argument(*args, **kwargs)
     return parser
 
 
@@ -41,14 +53,9 @@ def main(argv: Optional[list] = None) -> int:
     # --episodes counts training episodes for train, evaluation episodes
     # for eval and compare.
     episodes_key = "eval_episodes" if args.mode in ("eval", "compare") else "episodes"
-    overrides = {
-        "seed": args.seed,
-        episodes_key: args.episodes,
-        "checkpoint": args.checkpoint,
-        "out_dir": args.out_dir,
-        "trace": getattr(args, "trace", None),
-    }
-    if args.tactile is not None:
+    overrides = {key: getattr(args, key, None) for key in ("seed", "checkpoint", "out_dir", "trace")}
+    overrides[episodes_key] = getattr(args, "episodes", None)
+    if getattr(args, "tactile", None) is not None:
         overrides["tactile"] = args.tactile == "on"
     try:
         cfg = harness.load_config(args.mode, args.config, overrides)

@@ -6,7 +6,7 @@ box.  No gravity, no friction, zero restitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,13 +16,10 @@ from .spatial import (
     ConvexRegion,
     Obb,
     Pose,
-    euler_xyz_to_quat,
     quat_mul,
     quat_normalize,
-    quat_product,
-    quat_rotate,
     quat_to_matrix,
-    rotation_vector,
+    spheres_obb_query,
 )
 
 # Contact solver defaults: fixed iteration count, Baumgarte velocity bias.
@@ -59,7 +56,7 @@ class RigidBody:
         self.inertia_diag = np.asarray(self.inertia_diag, dtype=float).reshape(3)
         if self.mass <= 0.0:
             raise ValueError("mass must be > 0")
-        if np.any(self.inertia_diag <= 0.0):
+        if (self.inertia_diag <= 0.0).any():
             raise ValueError("inertia components must be > 0")
 
     def angular_momentum_world(self) -> np.ndarray:
@@ -92,7 +89,7 @@ class GripperBody:
         self.sphere_radii = np.asarray(self.sphere_radii, dtype=float).reshape(-1)
         if self.sphere_centers.shape[0] != self.sphere_radii.shape[0]:
             raise ValueError("sphere centers and radii disagree in length")
-        if np.any(self.sphere_radii <= 0.0) and self.sphere_radii.size:
+        if (self.sphere_radii <= 0.0).any():
             raise ValueError("sphere radii must be > 0")
 
     def world_sphere_centers(self) -> np.ndarray:
@@ -100,8 +97,9 @@ class GripperBody:
         return self.pose.position + self.sphere_centers @ rot.T
 
     def velocity_at(self, point_world) -> np.ndarray:
-        r = np.asarray(point_world, dtype=float) - self.pose.position
-        return self.lin_vel + np.cross(self.ang_vel, r)
+        rx, ry, rz = (np.asarray(point_world, dtype=float) - self.pose.position).tolist()
+        wx, wy, wz = self.ang_vel.tolist()
+        return self.lin_vel + np.array([wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx])
 
 
 @dataclass
@@ -118,11 +116,16 @@ class ActionLimits:
 
 @dataclass
 class ContactResult:
-    """Outcome of one resolution pass: contacts kept with their impulses."""
+    """Outcome of one resolution pass: contacts kept with their impulses,
+    the deepest penetration and the solver's residual, the largest
+    max(bias - v_rel, 0) over the contacts after the last pass (0 when the
+    passes met every contact's velocity demand)."""
 
     contacts: List[Contact]
     total_normal_impulse: float
     total_normal_force: float
+    max_depth: float
+    residual: float
 
 
 def box_inertia_diag(mass: float, half_extents) -> np.ndarray:
@@ -164,31 +167,41 @@ def build_open_gripper(pose: Optional[Pose] = None) -> GripperBody:
     )
 
 
-def _body_rates(q: np.ndarray, w: np.ndarray, inertia: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _body_rates(y, ix: float, iy: float, iz: float):
     # Torque-free Euler equations in the principal frame plus quaternion
-    # kinematics with the body-frame rate on the right.
-    w_dot = np.cross(inertia * w, w) / inertia
-    q_dot = 0.5 * quat_product(q, np.array([0.0, w[0], w[1], w[2]]))
-    return q_dot, w_dot
+    # kinematics with the body-frame rate on the right, for the state
+    # y = (qw, qx, qy, qz, wx, wy, wz).
+    qw, qx, qy, qz, wx, wy, wz = y
+    lx, ly, lz = ix * wx, iy * wy, iz * wz
+    return (
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        (ly * wz - lz * wy) / ix,
+        (lz * wx - lx * wz) / iy,
+        (lx * wy - ly * wx) / iz,
+    )
 
 
 def step_free_body(body: RigidBody, dt: float) -> RigidBody:
     """One torque-free RK4 step: translate by lin_vel, advance (q, omega)."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    q0 = body.pose.orientation
-    w0 = body.ang_vel
-    inertia = body.inertia_diag
+    inertia = body.inertia_diag.tolist()
+    y0 = body.pose.orientation.tolist() + body.ang_vel.tolist()
+    half = 0.5 * dt
 
-    k1q, k1w = _body_rates(q0, w0, inertia)
-    k2q, k2w = _body_rates(q0 + 0.5 * dt * k1q, w0 + 0.5 * dt * k1w, inertia)
-    k3q, k3w = _body_rates(q0 + 0.5 * dt * k2q, w0 + 0.5 * dt * k2w, inertia)
-    k4q, k4w = _body_rates(q0 + dt * k3q, w0 + dt * k3w, inertia)
+    k1 = _body_rates(y0, *inertia)
+    k2 = _body_rates([a + half * k for a, k in zip(y0, k1)], *inertia)
+    k3 = _body_rates([a + half * k for a, k in zip(y0, k2)], *inertia)
+    k4 = _body_rates([a + dt * k for a, k in zip(y0, k3)], *inertia)
+    sixth = dt / 6.0
+    y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
 
-    q = quat_normalize(q0 + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q))
-    w = w0 + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     pos = body.pose.position + body.lin_vel * dt
-    return replace(body, pose=Pose(pos, q), ang_vel=w)
+    return RigidBody(Pose.from_unit(pos, quat_normalize(y[:4])), body.lin_vel,
+                     np.array(y[4:]), body.mass, body.inertia_diag)
 
 
 def apply_gripper_action(
@@ -205,28 +218,40 @@ def apply_gripper_action(
     action = np.asarray(action, dtype=float).reshape(6)
     if np.any(np.abs(action) > 1.0):
         raise ValueError("action components must lie in [-1, 1]")
-    dp_body = action[:3] * limits.max_translation_step
-    dq = euler_xyz_to_quat(action[3:] * limits.max_rotation_step)
-    dp_world = quat_rotate(g.pose.orientation, dp_body)
-    ang_vel_world = quat_rotate(g.pose.orientation, rotation_vector(dq)) / dt
-    return replace(
-        g,
-        pose=Pose(g.pose.position + dp_world, quat_mul(g.pose.orientation, dq)),
+    roll, pitch, yaw = action[3:].tolist()
+    turn = limits.max_rotation_step
+
+    # Step rotation dq = qx(roll) qy(pitch) qz(yaw) (intrinsic XYZ), w >= 0.
+    cr, sr = math.cos(0.5 * roll * turn), math.sin(0.5 * roll * turn)
+    cp, sp = math.cos(0.5 * pitch * turn), math.sin(0.5 * pitch * turn)
+    cy, sy = math.cos(0.5 * yaw * turn), math.sin(0.5 * yaw * turn)
+    dw = cr * cp * cy - sr * sp * sy
+    dx = sr * cp * cy + cr * sp * sy
+    dy = cr * sp * cy - sr * cp * sy
+    dz = cr * cp * sy + sr * sp * cy
+    if dw < 0.0:
+        dw, dx, dy, dz = -dw, -dx, -dy, -dz
+    # Its rotation vector, angle in [0, pi].
+    s = math.sqrt(dx * dx + dy * dy + dz * dz)
+    scale = 2.0 * math.atan2(s, dw) / s / dt if s >= 1e-12 else 0.0
+
+    rot = quat_to_matrix(g.pose.orientation)
+    dp_world = rot @ (action[:3] * limits.max_translation_step)
+    ang_vel = rot @ (np.array([dx, dy, dz]) * scale)
+    return GripperBody(
+        pose=Pose.from_unit(g.pose.position + dp_world, quat_mul(g.pose.orientation, (dw, dx, dy, dz))),
         lin_vel=dp_world / dt,
-        ang_vel=ang_vel_world,
+        ang_vel=ang_vel,
+        sphere_centers=g.sphere_centers,
+        sphere_radii=g.sphere_radii,
+        finger_region=g.finger_region,
     )
 
 
 def detect_contacts(g: GripperBody, target: Obb) -> List[Contact]:
     """One contact per gripper sphere overlapping the target box."""
-    from .spatial import sphere_obb_query
-
-    contacts = []
-    for center, radius in zip(g.world_sphere_centers(), g.sphere_radii):
-        query = sphere_obb_query(center, float(radius), target)
-        if query.contact is not None:
-            contacts.append(query.contact)
-    return contacts
+    closest, signed, normals = spheres_obb_query(g.world_sphere_centers(), g.sphere_radii, target)
+    return [Contact(closest[i], normals[i], -float(signed[i])) for i in np.flatnonzero(signed < 0.0)]
 
 
 def resolve_contacts(
@@ -244,66 +269,85 @@ def resolve_contacts(
     contact demands a separating normal velocity of at least beta*depth/dt
     (restitution 0), with the accumulated impulse clamped nonnegative.
     Penetration is corrected only through that velocity bias.
+
+    Per contact, everything the passes do not change is computed once: the
+    arm r, the normal n, r x n, I^-1 (r x n), the effective mass k, the
+    bias and the gripper's normal velocity.  The passes then run on floats,
+    using (w x r) . n = w . (r x n).
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     if not contacts:
-        return target, ContactResult([], 0.0, 0.0)
+        return target, ContactResult([], 0.0, 0.0, 0.0, 0.0)
 
     rot = quat_to_matrix(target.pose.orientation)
-    inv_inertia_world = rot @ np.diag(1.0 / target.inertia_diag) @ rot.T
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+        rot @ np.diag(1.0 / target.inertia_diag) @ rot.T).ravel().tolist()  # world I^-1
     inv_mass = 1.0 / target.mass
-    v = target.lin_vel.copy()
-    w_world = rot @ target.ang_vel
+    vx, vy, vz = target.lin_vel.tolist()
+    wx, wy, wz = (rot @ target.ang_vel).tolist()
 
-    n_contacts = len(contacts)
-    impulses = np.zeros(n_contacts)
-    arms = [c.point - target.pose.position for c in contacts]
-    biases = [beta * c.depth / dt for c in contacts]
-    gripper_point_vels = [gripper_vel_at(c.point) for c in contacts]
+    px, py, pz = target.pose.position.tolist()
+    rows = []
+    for c in contacts:
+        nx, ny, nz = c.normal.tolist()
+        cx, cy, cz = c.point.tolist()
+        rx, ry, rz = cx - px, cy - py, cz - pz
+        tx, ty, tz = ry * nz - rz * ny, rz * nx - rx * nz, rx * ny - ry * nx  # r x n
+        ix = a00 * tx + a01 * ty + a02 * tz                                  # I^-1 (r x n)
+        iy = a10 * tx + a11 * ty + a12 * tz
+        iz = a20 * tx + a21 * ty + a22 * tz
+        k = inv_mass + ix * tx + iy * ty + iz * tz
+        gx, gy, gz = gripper_vel_at(c.point).tolist()
+        bias = beta * c.depth / dt
+        rows.append((nx, ny, nz, tx, ty, tz, ix, iy, iz, k, bias, gx * nx + gy * ny + gz * nz))
 
+    impulses = [0.0] * len(rows)
     for _ in range(passes):
-        for i, c in enumerate(contacts):
-            r = arms[i]
-            n = c.normal
-            v_rel = float((v + np.cross(w_world, r) - gripper_point_vels[i]) @ n)
-            k = inv_mass + float(np.cross(inv_inertia_world @ np.cross(r, n), r) @ n)
-            dj = (biases[i] - v_rel) / k
-            new_total = max(0.0, impulses[i] + dj)
+        for i, (nx, ny, nz, tx, ty, tz, ix, iy, iz, k, bias, g_n) in enumerate(rows):
+            v_rel = vx * nx + vy * ny + vz * nz + (wx * tx + wy * ty + wz * tz) - g_n
+            new_total = max(0.0, impulses[i] + (bias - v_rel) / k)
             dj = new_total - impulses[i]
             impulses[i] = new_total
-            v += dj * inv_mass * n
-            w_world += inv_inertia_world @ np.cross(r, dj * n)
+            dv = dj * inv_mass
+            vx, vy, vz = vx + dv * nx, vy + dv * ny, vz + dv * nz
+            wx, wy, wz = wx + dj * ix, wy + dj * iy, wz + dj * iz
 
-    total_impulse = float(np.sum(impulses))
-    resolved = replace(target, lin_vel=v, ang_vel=rot.T @ w_world)
+    residual = 0.0
+    for nx, ny, nz, tx, ty, tz, _, _, _, _, bias, g_n in rows:
+        v_rel = vx * nx + vy * ny + vz * nz + (wx * tx + wy * ty + wz * tz) - g_n
+        residual = max(residual, bias - v_rel)
+
+    total_impulse = sum(impulses)
+    resolved = RigidBody(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
+                         target.mass, target.inertia_diag)
     result = ContactResult(
         contacts=list(contacts),
         total_normal_impulse=total_impulse,
         total_normal_force=total_impulse / dt,
+        max_depth=max(c.depth for c in contacts),
+        residual=residual,
     )
     return resolved, result
 
 
 def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:
     """Component-wise |difference| of the globally closest point pair
-    between the gripper sphere surfaces and the target box surface."""
-    from .spatial import sphere_obb_query
-
-    best_gap = math.inf
-    best_pair = None
-    for center, radius in zip(g.world_sphere_centers(), g.sphere_radii):
-        query = sphere_obb_query(center, float(radius), target)
-        if query.signed_distance < best_gap:
-            towards_box = query.closest_point - center
-            d = float(np.linalg.norm(towards_box))
-            if d > 1e-12:
-                u = towards_box / d
-            else:
-                towards_center = target.pose.position - center
-                dc = float(np.linalg.norm(towards_center))
-                u = towards_center / dc if dc > 1e-12 else np.array([1.0, 0.0, 0.0])
-            best_gap = query.signed_distance
-            best_pair = (center + float(radius) * u, query.closest_point)
-    assert best_pair is not None
-    return np.abs(best_pair[0] - best_pair[1])
+    between the gripper sphere surfaces and the target box surface (the
+    first sphere with the smallest signed distance)."""
+    centers = g.world_sphere_centers()
+    closest, signed, _ = spheres_obb_query(centers, g.sphere_radii, target)
+    best = int(np.argmin(signed))
+    cx, cy, cz = centers[best].tolist()
+    qx, qy, qz = closest[best].tolist()
+    ux, uy, uz = qx - cx, qy - cy, qz - cz
+    d = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if d <= 1e-12:
+        ux, uy, uz = (target.pose.position - centers[best]).tolist()
+        d = math.sqrt(ux * ux + uy * uy + uz * uz)
+        if d <= 1e-12:
+            ux, uy, uz, d = 1.0, 0.0, 0.0, 1.0
+    radius = float(g.sphere_radii[best])
+    return np.array([abs(cx + radius * (ux / d) - qx),
+                     abs(cy + radius * (uy / d) - qy),
+                     abs(cz + radius * (uz / d) - qz)])

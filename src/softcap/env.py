@@ -103,6 +103,11 @@ class EnvConfig:
 
 @dataclass
 class StepResult:
+    """One control step.  ``info`` holds ``success_streak``, ``contact_force``
+    and the contact solver's health, each the largest over the step's
+    substeps: ``contact_count``, ``max_depth`` (m) and ``solver_residual``
+    (m/s, see ``dynamics.ContactResult``)."""
+
     obs: np.ndarray
     reward: float
     terms: RewardTerms
@@ -306,14 +311,18 @@ class SoftCaptureEnv:
 
         dt_phys = cfg.control_dt / cfg.physics_substeps
         impulse_total = 0.0
+        contact_count, max_depth, residual = 0, 0.0, 0.0
         for _ in range(cfg.physics_substeps):
-            contacts = dynamics.detect_contacts(self._gripper, self.target_box)
+            box = Obb(self._target.pose, self._half_extents)
+            contacts = dynamics.detect_contacts(self._gripper, box)
             if contacts:
                 self._target, result = dynamics.resolve_contacts(
-                    self._target, self.target_box, contacts,
-                    self._gripper.velocity_at, dt_phys,
+                    self._target, box, contacts, self._gripper.velocity_at, dt_phys,
                 )
                 impulse_total += result.total_normal_impulse
+                contact_count = max(contact_count, len(contacts))
+                max_depth = max(max_depth, result.max_depth)
+                residual = max(residual, result.residual)
             self._target = dynamics.step_free_body(self._target, dt_phys)
         contact_force = impulse_total / cfg.control_dt
 
@@ -333,16 +342,18 @@ class SoftCaptureEnv:
         self._rewards.append(reward)
 
         obs = self._assemble_observation(contact_force)
+        # Both actions are fresh arrays, and the simulator replaces poses
+        # rather than writing into them, so the record keeps them as they are.
         self._trace.append(
             TraceRecord(
                 step=self._step_count,
-                action_pre=action.copy(),
-                action_post=noisy.copy(),
+                action_pre=action,
+                action_post=noisy,
                 terms=terms,
                 reward=reward,
                 contact_force=contact_force,
-                gripper_pose=Pose(self._gripper.pose.position.copy(), self._gripper.pose.orientation.copy()),
-                target_pose=Pose(self._target.pose.position.copy(), self._target.pose.orientation.copy()),
+                gripper_pose=self._gripper.pose,
+                target_pose=self._target.pose,
             )
         )
         return StepResult(
@@ -350,7 +361,9 @@ class SoftCaptureEnv:
             reward=reward,
             terms=terms,
             done=self._done,
-            info={"success_streak": self._streak, "contact_force": contact_force},
+            info={"success_streak": self._streak, "contact_force": contact_force,
+                  "contact_count": contact_count, "max_depth": max_depth,
+                  "solver_residual": residual},
         )
 
     # ------------------------------------------------------------------

@@ -66,6 +66,9 @@ class RunConfig:
             raise ValueError("episode counts and checkpoint cadence must be >= 0")
         if self.mode == "eval" and not self.checkpoint:
             raise ValueError("eval mode needs --checkpoint")
+        if self.mode == "compare" and self.checkpoint:
+            raise ValueError("compare mode takes no top-level checkpoint: set "
+                             "compare.checkpoint_a / compare.checkpoint_b to evaluate saved arms")
         if self.mode == "replay-export" and not self.trace:
             raise ValueError("replay-export mode needs --trace")
         # The run-level seed and episode count are the only source of the
@@ -345,9 +348,9 @@ def run_compare(cfg: RunConfig) -> int:
             arm_out.mkdir(parents=True, exist_ok=True)
             arm = replace(cfg, env=replace(cfg.env, tactile_enabled=tactile))
             if checkpoint is None:
-                _train(replace(arm, episodes=train_episodes, checkpoint=None), arm_out)
+                _train(replace(arm, mode="train", episodes=train_episodes), arm_out)
                 checkpoint = str(arm_out / "checkpoint_final.ckpt")
-            summary = _eval(replace(arm, checkpoint=checkpoint), arm_out)
+            summary = _eval(replace(arm, mode="eval", checkpoint=checkpoint), arm_out)
             summary.update({"arm": label, "tactile": int(tactile)})
             table.append(summary)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ def quat_identity() -> np.ndarray:
 
 def quat_normalize(q) -> np.ndarray:
     """Unit quaternion with the sign canonicalized to w >= 0."""
-    q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
+    q = np.asarray(q, dtype=float).reshape(4)
+    n = math.sqrt(q.dot(q))  # what np.linalg.norm computes, without its overhead
     if n < _QUAT_EPS:
         raise ValueError("cannot normalize a near-zero quaternion")
     q = q / n
@@ -40,9 +40,9 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_product(a, b) -> np.ndarray:
-    """Raw Hamilton product, no normalization (integration use)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Raw Hamilton product, no normalization."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -73,7 +73,7 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float)
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
@@ -98,16 +98,6 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     return quat_normalize(q)
 
 
-def rotation_vector(q) -> np.ndarray:
-    """Axis-angle vector of a unit quaternion, angle taken in [0, pi]."""
-    q = quat_normalize(q)
-    s = float(np.linalg.norm(q[1:]))
-    if s < _QUAT_EPS:
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(s, q[0])
-    return q[1:] * (angle / s)
-
-
 def euler_xyz_to_quat(e) -> np.ndarray:
     """Quaternion of the intrinsic XYZ rotation (roll, pitch, yaw)."""
     roll, pitch, yaw = np.asarray(e, dtype=float)
@@ -123,16 +113,16 @@ def quat_to_euler_xyz(q) -> np.ndarray:
     Goes through the rotation matrix, so the result is invariant under a
     sign flip of q.  At |pitch| = pi/2 the convention roll = 0 applies.
     """
-    m = quat_to_matrix(quat_normalize(q))
-    sp = float(np.clip(m[0, 2], -1.0, 1.0))
+    (m00, m01, m02), (m10, m11, m12), (_, _, m22) = quat_to_matrix(quat_normalize(q)).tolist()
+    sp = min(max(m02, -1.0), 1.0)
     if abs(sp) < _GIMBAL_SIN_LIMIT:
         pitch = math.asin(sp)
-        roll = math.atan2(-m[1, 2], m[2, 2])
-        yaw = math.atan2(-m[0, 1], m[0, 0])
+        roll = math.atan2(-m12, m22)
+        yaw = math.atan2(-m01, m00)
     else:
         pitch = math.copysign(0.5 * math.pi, sp)
         roll = 0.0
-        yaw = math.atan2(m[1, 0], m[1, 1])
+        yaw = math.atan2(m10, m11)
     return np.array([roll, pitch, yaw])
 
 
@@ -155,6 +145,16 @@ class Pose:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.orientation = quat_normalize(self.orientation)
+
+    @classmethod
+    def from_unit(cls, position: np.ndarray, orientation: np.ndarray) -> "Pose":
+        """Pose around a float (3,) position and a quaternion that is
+        already unit and canonical (w >= 0), taken as they are: no copy and
+        no second normalization."""
+        pose = cls.__new__(cls)
+        pose.position = position
+        pose.orientation = orientation
+        return pose
 
     def transform_point(self, p_local) -> np.ndarray:
         return self.position + quat_rotate(self.orientation, p_local)
@@ -230,7 +230,7 @@ class Obb:
 
     def __post_init__(self):
         self.half_extents = np.asarray(self.half_extents, dtype=float).reshape(3)
-        if np.any(self.half_extents <= 0.0):
+        if (self.half_extents <= 0.0).any():
             raise ValueError("box half extents must be strictly positive")
 
     def corners(self) -> np.ndarray:
@@ -248,21 +248,16 @@ class Obb:
         return self.pose.position + local @ rot.T
 
 
-@dataclass
-class Contact:
-    """One contact: world point, unit normal from gripper into target, depth >= 0."""
+class Contact(NamedTuple):
+    """One contact: world point, unit normal from gripper into target, depth >= 0.
+
+    Built only by the proximity queries below, which guarantee the unit
+    normal and the nonnegative depth.
+    """
 
     point: np.ndarray
     normal: np.ndarray
     depth: float
-
-    def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float).reshape(3)
-        self.normal = np.asarray(self.normal, dtype=float).reshape(3)
-        if abs(float(np.linalg.norm(self.normal)) - 1.0) > 1e-9:
-            raise ValueError("contact normal must be unit length")
-        if self.depth < 0.0:
-            raise ValueError("contact depth must be >= 0")
 
 
 @dataclass
@@ -272,6 +267,10 @@ class SphereQuery:
     contact: Optional[Contact]
 
 
+# The single- and multi-sphere queries below do the same arithmetic in the
+# same order: each rotated component is ((a0 + a1) + a2), and no BLAS product
+# (whose summation order and fused multiply-adds vary) is used, so the two
+# agree bit for bit.
 def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     """Proximity of a sphere to an oriented box.
 
@@ -283,25 +282,73 @@ def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     """
     if radius <= 0.0:
         raise ValueError("sphere radius must be > 0")
-    center = np.asarray(center, dtype=float).reshape(3)
-    rot = quat_to_matrix(box.pose.orientation)
-    local = rot.T @ (center - box.pose.position)
-    clamped = np.clip(local, -box.half_extents, box.half_extents)
-    delta = local - clamped
-    dist = float(np.linalg.norm(delta))
+    cx, cy, cz = np.asarray(center, dtype=float).reshape(3).tolist()
+    px, py, pz = box.pose.position.tolist()
+    hx, hy, hz = box.half_extents.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat_to_matrix(box.pose.orientation).tolist()
+    dx, dy, dz = cx - px, cy - py, cz - pz
+    lx = dx * r00 + dy * r10 + dz * r20
+    ly = dx * r01 + dy * r11 + dz * r21
+    lz = dx * r02 + dy * r12 + dz * r22
+    kx, ky, kz = min(max(lx, -hx), hx), min(max(ly, -hy), hy), min(max(lz, -hz), hz)
+    ex, ey, ez = lx - kx, ly - ky, lz - kz
+    dist = math.sqrt(ex * ex + ey * ey + ez * ez)
     if dist > _QUAT_EPS:
         signed = dist - radius
-        normal_local = -delta / dist
+        nx, ny, nz = -ex / dist, -ey / dist, -ez / dist
     else:
         # Center inside the box (or exactly on its surface).
         signed = -radius
-        r = float(np.linalg.norm(local))
+        r = math.sqrt(lx * lx + ly * ly + lz * lz)
         if r > _QUAT_EPS:
-            normal_local = -local / r
+            nx, ny, nz = -lx / r, -ly / r, -lz / r
         else:
-            normal_local = np.array([-1.0, 0.0, 0.0])
-    closest_world = box.pose.position + rot @ clamped
+            nx, ny, nz = -1.0, 0.0, 0.0
+    closest_world = np.array([
+        px + (r00 * kx + r01 * ky + r02 * kz),
+        py + (r10 * kx + r11 * ky + r12 * kz),
+        pz + (r20 * kx + r21 * ky + r22 * kz),
+    ])
     contact = None
     if signed < 0.0:
-        contact = Contact(point=closest_world, normal=rot @ normal_local, depth=-signed)
+        normal = np.array([
+            r00 * nx + r01 * ny + r02 * nz,
+            r10 * nx + r11 * ny + r12 * nz,
+            r20 * nx + r21 * ny + r22 * nz,
+        ])
+        contact = Contact(closest_world, normal, -signed)
     return SphereQuery(closest_point=closest_world, signed_distance=signed, contact=contact)
+
+
+def spheres_obb_query(centers, radii, box: Obb) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sphere_obb_query`` over n spheres at once.
+
+    Returns the closest box points (n, 3), the signed distances (n,) and
+    the world normals (n, 3), each row equal to what ``sphere_obb_query``
+    gives for that sphere.  A normal is returned for every sphere, in
+    contact or not, with the same convention as the contact normal.
+    """
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if (radii <= 0.0).any():
+        raise ValueError("sphere radius must be > 0")
+    rot = quat_to_matrix(box.pose.orientation)
+    h = box.half_extents
+    d = np.asarray(centers, dtype=float).reshape(-1, 3) - box.pose.position
+    local = (d[:, :, None] * rot).sum(axis=1)  # rot.T @ d, row by row
+    clamped = np.minimum(np.maximum(local, -h), h)
+    delta = local - clamped
+    dist = np.sqrt((delta * delta).sum(axis=1))
+    outside = dist > _QUAT_EPS
+    signed = np.where(outside, dist - radii, -radii)
+    # Inside (or on the surface) the normal aims from the center at the box
+    # center, and along -x when the two coincide.
+    toward = np.where(outside[:, None], delta, local)
+    length = np.where(outside, dist, np.sqrt((local * local).sum(axis=1)))
+    degenerate = length <= _QUAT_EPS
+    if degenerate.any():
+        length[degenerate] = 1.0
+        toward[degenerate] = (1.0, 0.0, 0.0)
+    normal_local = -toward / length[:, None]
+    closest = box.pose.position + (clamped[:, None, :] * rot).sum(axis=2)
+    normals = (normal_local[:, None, :] * rot).sum(axis=2)
+    return closest, signed, normals

@@ -124,6 +124,26 @@ def test_apply_rotation_composes_on_body_side():
     assert np.allclose(out.ang_vel, [0.0, 0.0, 0.035 * 60], atol=1e-9)
 
 
+def test_apply_action_matches_composed_rotations(rng):
+    # Reference: the step rotation composed from the Euler-XYZ quaternion,
+    # the rotation vector from its axis and angle, both rotated to world.
+    limits = ActionLimits(max_translation_step=0.01, max_rotation_step=0.5)
+    dt = 1 / 60
+    for _ in range(50):
+        g = build_open_gripper(Pose(rng.uniform(-1, 1, 3), random_quat(rng)))
+        action = rng.uniform(-1, 1, 6)
+        out = apply_gripper_action(g, action, limits, dt)
+        q = g.pose.orientation
+        dq = spatial.euler_xyz_to_quat(action[3:] * limits.max_rotation_step)
+        angle = 2.0 * math.atan2(np.linalg.norm(dq[1:]), dq[0])
+        rotvec = dq[1:] / np.linalg.norm(dq[1:]) * angle
+        dp = spatial.quat_rotate(q, action[:3] * limits.max_translation_step)
+        assert np.allclose(out.pose.position, g.pose.position + dp, rtol=0, atol=1e-15)
+        assert np.allclose(out.pose.orientation, spatial.quat_mul(q, dq), rtol=0, atol=1e-15)
+        assert np.allclose(out.lin_vel, dp / dt, rtol=0, atol=1e-13)
+        assert np.allclose(out.ang_vel, spatial.quat_rotate(q, rotvec) / dt, rtol=0, atol=1e-12)
+
+
 def test_apply_action_out_of_range_rejected():
     g = build_open_gripper()
     with pytest.raises(ValueError):
@@ -252,22 +272,18 @@ def test_resolve_momentum_bookkeeping(rng):
             continue
         g_vel = rng.uniform(-0.2, 0.2, 3)
         out, result = resolve_contacts(target, box, contacts, lambda p: g_vel, DT)
-        applied = sum(
-            j * c.normal
-            for j, c in zip(_per_contact_impulses(target, box, contacts, g_vel), contacts)
-        )
+        _, _, impulses, _ = _reference_resolve(target, contacts, lambda p: g_vel)
+        applied = sum(j * c.normal for j, c in zip(impulses, contacts))
         dp = out.mass * out.lin_vel - target.mass * target.lin_vel
         # Momentum change equals the vector sum of the applied impulses.
         assert np.allclose(dp, applied, atol=1e-9)
 
 
-def _per_contact_impulses(target, box, contacts, g_vel):
-    # Re-run the solver to recover per-contact impulses through the public
-    # result (total only), by resolving one configuration and reading the
-    # linear momentum balance per unit normal.  For the momentum test we
-    # only need the totals along each normal, so replicate the solver's
-    # bookkeeping with an instrumented copy.
-    from softcap.dynamics import BAUMGARTE_BETA, SOLVER_PASSES
+def _reference_resolve(target, contacts, gripper_vel_at, dt=DT,
+                       passes=dynamics.SOLVER_PASSES, beta=dynamics.BAUMGARTE_BETA):
+    """The sequential-impulse loop on numpy 3-vectors, recomputing every
+    term on every pass; returns (lin_vel, body-frame ang_vel, per-contact
+    impulses, residual after the last pass)."""
     from softcap.spatial import quat_to_matrix
 
     rot = quat_to_matrix(target.pose.orientation)
@@ -276,18 +292,58 @@ def _per_contact_impulses(target, box, contacts, g_vel):
     v = target.lin_vel.copy()
     w = rot @ target.ang_vel
     impulses = np.zeros(len(contacts))
-    for _ in range(SOLVER_PASSES):
+
+    def relative_normal_velocity(c):
+        r = c.point - target.pose.position
+        return float((v + np.cross(w, r) - gripper_vel_at(c.point)) @ c.normal)
+
+    for _ in range(passes):
         for i, c in enumerate(contacts):
             r = c.point - target.pose.position
-            v_rel = float((v + np.cross(w, r) - g_vel) @ c.normal)
+            v_rel = relative_normal_velocity(c)
             k = inv_mass + float(np.cross(inv_inertia_world @ np.cross(r, c.normal), r) @ c.normal)
-            dj = (BAUMGARTE_BETA * c.depth / DT - v_rel) / k
+            dj = (beta * c.depth / dt - v_rel) / k
             new = max(0.0, impulses[i] + dj)
             dj = new - impulses[i]
             impulses[i] = new
             v += dj * inv_mass * c.normal
             w += inv_inertia_world @ np.cross(r, dj * c.normal)
-    return impulses
+    residual = max(max(beta * c.depth / dt - relative_normal_velocity(c), 0.0) for c in contacts)
+    return v, rot.T @ w, impulses, residual
+
+
+def test_resolve_matches_reference_solver_multi_contact(rng):
+    checked = 0
+    for _ in range(400):
+        target = make_body(
+            pose=Pose(rng.uniform(-0.05, 0.05, 3), random_quat(rng)),
+            lin_vel=rng.uniform(-0.2, 0.2, 3),
+            ang_vel=rng.uniform(-1.0, 1.0, 3),
+            mass=rng.uniform(0.5, 2.0),
+            inertia=rng.uniform(0.005, 0.05, 3),
+        )
+        box = Obb(target.pose, [0.08, 0.06, 0.07])
+        g = GripperBody(
+            pose=Pose(target.pose.position + rng.uniform(-0.2, 0.2, 3), random_quat(rng)),
+            lin_vel=rng.uniform(-0.3, 0.3, 3),
+            ang_vel=rng.uniform(-2.0, 2.0, 3),
+            sphere_centers=build_open_gripper().sphere_centers,
+            sphere_radii=build_open_gripper().sphere_radii,
+        )
+        contacts = detect_contacts(g, box)
+        if len(contacts) < 2:
+            continue
+        checked += 1
+        out, result = resolve_contacts(target, box, contacts, g.velocity_at, DT)
+        v, w, impulses, residual = _reference_resolve(target, contacts, g.velocity_at)
+        # Same algorithm, terms regrouped: agreement to a few ulps of the
+        # O(0.1-1) velocities and impulses.
+        np.testing.assert_allclose(out.lin_vel, v, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out.ang_vel, w, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(result.total_normal_impulse, impulses.sum(), rtol=1e-12, atol=1e-14)
+        assert result.residual == pytest.approx(residual, rel=1e-9, abs=1e-12)
+        assert result.max_depth == max(c.depth for c in contacts)
+    assert checked >= 20
 
 
 def test_resolve_impulses_never_pull(rng):
@@ -309,9 +365,18 @@ def test_resolve_impulses_never_pull(rng):
         g_vel = rng.uniform(-0.3, 0.3, 3)
         _, result = resolve_contacts(target, box, contacts, lambda p: g_vel, DT)
         assert result.total_normal_impulse >= 0.0
-        impulses = _per_contact_impulses(target, box, contacts, g_vel)
+        _, _, impulses, _ = _reference_resolve(target, contacts, lambda p: g_vel)
         assert np.all(impulses >= 0.0)
     assert hits >= 5
+
+
+def test_resolve_single_contact_leaves_no_residual():
+    # Criterion 04's central hit: one pass meets the bias exactly.
+    target, box, contacts, gripper_vel = central_hit_setup()
+    for beta in (0.0, 0.2):
+        _, result = resolve_contacts(target, box, contacts, gripper_vel, DT, beta=beta)
+        assert 0.0 <= result.residual <= 1e-12
+        assert result.max_depth == contacts[0].depth
 
 
 def test_tactile_consistency_for_advancing_contact():

@@ -373,6 +373,29 @@ def test_contact_penalty_matches_reported_force():
     assert saw_contact
 
 
+def test_step_reports_contact_solver_health():
+    cfg = quiet_config(
+        episode_length=500,
+        success_streak_length=200,
+        randomization=quiet_randomization(
+            target_position_low=(0.25, 0.0, 0.0), target_position_high=(0.25, 0.0, 0.0)
+        ),
+    )
+    env = SoftCaptureEnv(cfg)
+    env.reset(seed=0)
+    touched = 0
+    for _ in range(60):
+        info = env.step([1.0, 0, 0, 0, 0, 0]).info
+        assert info["solver_residual"] >= 0.0
+        if info["contact_count"] == 0:
+            assert info["max_depth"] == info["solver_residual"] == info["contact_force"] == 0.0
+        else:
+            touched += 1
+            assert 1 <= info["contact_count"] <= 10
+            assert 0.0 < info["max_depth"] < 0.05
+    assert touched > 0
+
+
 def test_success_streak_info_counts():
     env = SoftCaptureEnv(quiet_config())
     env.reset(seed=0)

@@ -256,6 +256,13 @@ def test_compare_zero_train_episodes_is_honoured(tmp_path):
         assert rows == [",".join(sac.EpisodeMetrics.COLUMNS)]
 
 
+def test_compare_rejects_top_level_checkpoint(tmp_path):
+    # Arms take their checkpoints from the compare section only.
+    with pytest.raises(ValueError, match="compare.checkpoint_a"):
+        load_config("compare", None, {"checkpoint": str(tmp_path / "x.ckpt"),
+                                      "out_dir": str(tmp_path / "cmp")})
+
+
 # ---------------------------------------------------------------- replay export
 def make_trace(tmp_path) -> Path:
     from softcap.env import SoftCaptureEnv, write_trace_csv
@@ -397,3 +404,18 @@ def test_cli_mode_requirements_fail_loudly(capsys):
     assert "checkpoint" in capsys.readouterr().err
     assert cli.main(["replay-export"]) == 2
     assert "trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay-export", "--trace", "t.csv", "--episodes", "5"],
+    ["replay-export", "--trace", "t.csv", "--seed", "1"],
+    ["replay-export", "--trace", "t.csv", "--tactile", "on"],
+    ["replay-export", "--trace", "t.csv", "--checkpoint", "x.ckpt"],
+    ["compare", "--checkpoint", "x.ckpt"],
+    ["compare", "--tactile", "off"],
+])
+def test_cli_rejects_flags_the_mode_ignores(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

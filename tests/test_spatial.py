@@ -20,6 +20,7 @@ from softcap.spatial import (
     quat_to_euler_xyz,
     quat_to_matrix,
     sphere_obb_query,
+    spheres_obb_query,
 )
 
 from conftest import hull_contains, random_quat, rot_x, rot_y, rot_z
@@ -297,6 +298,41 @@ def test_sphere_obb_distance_is_lipschitz(rng):
         d1 = sphere_obb_query(c, 0.2, box).signed_distance
         d2 = sphere_obb_query(c + delta, 0.2, box).signed_distance
         assert abs(d1 - d2) <= np.linalg.norm(delta) + 1e-12
+
+
+def test_spheres_obb_query_equals_scalar_query(rng):
+    # Rotated boxes with centers spread inside and outside, plus axis-aligned
+    # boxes with dyadic coordinates, so some centers sit exactly on a face,
+    # an edge or a corner, or at the box center.
+    cases = []
+    for _ in range(40):
+        box = Obb(Pose(rng.uniform(-1, 1, 3), random_quat(rng)), rng.uniform(0.05, 0.5, 3))
+        rot = quat_to_matrix(box.pose.orientation)
+        local = rng.uniform(-2.0, 2.0, (12, 3)) * box.half_extents
+        cases.append((box, box.pose.position + local @ rot.T, rng.uniform(0.01, 0.3, 12)))
+    box = Obb(Pose([0.25, -0.5, 0.125]), [0.5, 0.25, 0.125])
+    h = box.half_extents
+    local = np.array([[1, 0, 0], [-1, 0.5, 0], [0, 1, -1], [1, -1, 1],
+                      [0, 0, 0], [0.5, 0.5, 0.5], [2, 0, 0], [0, -3, 0.25]]) * h
+    cases.append((box, box.pose.position + local, np.full(len(local), 0.0625)))
+
+    inside = surface = 0
+    for box, centers, radii in cases:
+        closest, signed, normals = spheres_obb_query(centers, radii, box)
+        assert closest.shape == normals.shape == (len(radii), 3) and signed.shape == (len(radii),)
+        for i, (center, radius) in enumerate(zip(centers, radii)):
+            q = sphere_obb_query(center, float(radius), box)
+            assert np.array_equal(closest[i], q.closest_point)
+            assert signed[i] == q.signed_distance
+            if q.contact is not None:
+                assert np.array_equal(normals[i], q.contact.normal)
+            local = quat_to_matrix(box.pose.orientation).T @ (center - box.pose.position)
+            inside += bool(np.all(np.abs(local) < box.half_extents))
+            surface += bool(np.all(np.abs(local) <= box.half_extents)
+                            and np.any(np.abs(local) == box.half_extents))
+    assert inside >= 20 and surface >= 4
+    with pytest.raises(ValueError):
+        spheres_obb_query(np.zeros((2, 3)), [0.1, 0.0], box)
 
 
 def test_obb_corners():
