@@ -97,6 +97,9 @@ class EnvConfig:
             raise ValueError("containment_margin must be >= 0")
         if self.success_streak_length < 1:
             raise ValueError("success_streak_length must be >= 1")
+        for name in ("gripper_start_position", "goal_orientation_offset", "target_half_extents"):
+            if np.shape(getattr(self, name)) != (3,):
+                raise ValueError(f"{name} must have 3 entries, got {getattr(self, name)!r}")
         if np.any(np.asarray(self.target_half_extents, dtype=float) <= 0.0):
             raise ValueError("target_half_extents must be strictly positive")
 
@@ -242,10 +245,6 @@ class SoftCaptureEnv:
     @property
     def target_box(self) -> Obb:
         return Obb(self.target.pose, self._half_extents)
-
-    @property
-    def episode_rewards(self) -> List[float]:
-        return list(self._rewards)
 
     @property
     def trace(self) -> List[TraceRecord]:
@@ -413,33 +412,43 @@ class SoftCaptureEnv:
 
 
 # ----------------------------------------------------------------------
-# Episode trace files: comma-separated text, one row per timestep.
+# Output tables: comma-separated text with one header row.  A float cell is
+# its ``repr``, so it reads back to the same bits; a flag is ``1``/``0``
+# and a missing value is empty.  Every table the program writes goes
+# through ``table_row``, which must only receive Python floats (``repr`` of
+# a numpy scalar is ``np.float64(...)``).
+def table_row(values) -> List[str]:
+    return [repr(v) if isinstance(v, float) else "" if v is None
+            else ("1" if v else "0") if isinstance(v, bool) else str(v) for v in values]
+
+
+def write_table(path, columns: Sequence[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(table_row(row) for row in rows)
+
+
+# Episode trace files: one row per timestep.
+TRACE_REWARD_COLUMNS = ("r_dist", "r_align", "r_surr", "r_contact", "reward", "contact_force")
+TRACE_POSE_COLUMNS = tuple(f"{body}_{c}" for body in "gt"
+                           for c in ("px", "py", "pz", "qw", "qx", "qy", "qz"))
+
+
 def trace_columns(action_dim: int) -> List[str]:
-    cols = ["step"]
-    cols += [f"a_pre_{i}" for i in range(action_dim)]
-    cols += [f"a_post_{i}" for i in range(action_dim)]
-    cols += ["r_dist", "r_align", "r_surr", "r_contact", "reward", "contact_force"]
-    cols += ["g_px", "g_py", "g_pz", "g_qw", "g_qx", "g_qy", "g_qz"]
-    cols += ["t_px", "t_py", "t_pz", "t_qw", "t_qx", "t_qy", "t_qz"]
-    return cols
+    return ["step", *(f"a_pre_{i}" for i in range(action_dim)),
+            *(f"a_post_{i}" for i in range(action_dim)),
+            *TRACE_REWARD_COLUMNS, *TRACE_POSE_COLUMNS]
 
 
 def write_trace_csv(path, records: Sequence[TraceRecord]) -> None:
     action_dim = len(records[0].action_pre) if records else 6
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_columns(action_dim))
-        for r in records:
-            row = [r.step]
-            row += [float(v) for v in r.action_pre]
-            row += [float(v) for v in r.action_post]
-            row += [r.terms.r_dist, r.terms.r_align, r.terms.r_surr, r.terms.r_contact]
-            row += [r.reward, r.contact_force]
-            row += [float(v) for v in r.gripper_pose.position]
-            row += [float(v) for v in r.gripper_pose.orientation]
-            row += [float(v) for v in r.target_pose.position]
-            row += [float(v) for v in r.target_pose.orientation]
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    write_table(path, trace_columns(action_dim), (
+        [r.step, *r.action_pre.tolist(), *r.action_post.tolist(), *r.terms,
+         r.reward, r.contact_force,
+         *r.gripper_pose.position.tolist(), *r.gripper_pose.orientation.tolist(),
+         *r.target_pose.position.tolist(), *r.target_pose.orientation.tolist()]
+        for r in records))
 
 
 def read_trace_csv(path) -> Tuple[List[str], List[List[float]]]:

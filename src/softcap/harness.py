@@ -15,25 +15,29 @@ import dataclasses
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import __version__, sac
+from . import __version__
 from .dynamics import ActionLimits
-from .env import EnvConfig, RandomizationSpec, SoftCaptureEnv, longest_streak, read_trace_csv, write_trace_csv
-from .sac import TrainConfig, Trainer, deterministic_action, episode_seed, load_policy
+from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, RandomizationSpec, SoftCaptureEnv,
+                  longest_streak, read_trace_csv, table_row, write_table, write_trace_csv)
+from .sac import (EpisodeMetrics, TrainConfig, Trainer, check_checkpoint_fits, deterministic_action,
+                  episode_seed, load_policy)
 
 _EVAL_STREAM = 4
 
-REWARD_COLUMNS = ["step", "r_dist", "r_align", "r_surr", "r_contact", "reward", "contact_force"]
-POSE_COLUMNS = [
-    "step",
-    "g_px", "g_py", "g_pz", "g_qw", "g_qx", "g_qy", "g_qz",
-    "t_px", "t_py", "t_pz", "t_qw", "t_qx", "t_qy", "t_qz",
-]
+# ``eval_metrics.csv``: one row per evaluation episode; the mean_r_* columns
+# are per-step means of the reward terms.
+EVAL_COLUMNS = ("episode", "episode_return", "success",
+                "mean_r_dist", "mean_r_align", "mean_r_surr", "mean_r_contact")
+_TERM_MEANS = EVAL_COLUMNS[3:]
+# ``comparison.csv``: one row per arm, holding its eval summary.
+COMPARE_COLUMNS = ("arm", "tactile", "episodes", "success_rate", "mean_return", *_TERM_MEANS)
 
 
 @dataclass
@@ -76,6 +80,22 @@ class RunConfig:
         self.train = replace(self.train, seed=self.seed, episodes=self.episodes)
 
 
+def _check_scalar(name: str, value, hint) -> None:
+    """Reject a value that does not match a ``bool``/``int``/``float``/``str``
+    field.  ``Optional`` fields accept null, a float field accepts an int,
+    and no number field accepts a bool."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union and type(None) in args:
+        if value is None:
+            return
+        hint = args[0]
+    if hint not in (bool, int, float, str):
+        return
+    wanted = (int, float) if hint is float else hint
+    if not isinstance(value, wanted) or (hint is not bool and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
+
+
 def _build_dataclass(cls, data: Dict, label: str):
     if not isinstance(data, dict):
         raise ValueError(f"{label} section must be a mapping")
@@ -85,10 +105,14 @@ def _build_dataclass(cls, data: Dict, label: str):
         raise ValueError(f"unknown {label} keys: {unknown}")
     nested = {"randomization": RandomizationSpec, "action_limits": ActionLimits,
               "env": EnvConfig, "train": TrainConfig, "compare": CompareSpec}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key in nested and isinstance(value, dict):
-            value = _build_dataclass(nested[key], value, key)
+        name = key if cls is RunConfig else f"{label}.{key}"
+        if key in nested:
+            value = _build_dataclass(nested[key], value, name)
+        else:
+            _check_scalar(name, value, hints[key])
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -140,10 +164,9 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir: Path, manifest: Dict) -> None:
-    path = out_dir / "run_manifest.json"
+def _write_json(path: Path, obj: Dict) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -178,18 +201,11 @@ def _run(cfg: RunConfig, body) -> int:
         return 1
     finally:
         manifest["finished_at"] = _now()
-        _write_manifest(out, manifest)
+        _write_json(out / "run_manifest.json", manifest)
 
 
 # ----------------------------------------------------------------------
 # train
-def _parse_metrics_rows(path: Path) -> Tuple[List[str], List[List[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
-
-
 def _train(cfg: RunConfig, out: Path) -> Dict:
     """Train into ``out``: ``metrics.csv``, periodic and final checkpoints."""
     env = SoftCaptureEnv(cfg.env)
@@ -199,21 +215,24 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
         trainer = Trainer(env, cfg.train)
 
     metrics_path = out / "metrics.csv"
+    header = columns = [f.name for f in fields(EpisodeMetrics)]
+    # A resumed run keeps the rows of the episodes its checkpoint holds,
+    # written back as read.
     kept_rows: List[List[str]] = []
     if trainer.episode > 0 and metrics_path.exists():
-        _, old_rows = _parse_metrics_rows(metrics_path)
+        with open(metrics_path, newline="") as fh:
+            header, *old_rows = csv.reader(fh)
         kept_rows = old_rows[: trainer.episode]
-    returns = [float(r[3]) for r in kept_rows]
-    successes = [int(r[8]) for r in kept_rows]
+    returns = [float(r[header.index("episode_return")]) for r in kept_rows]
+    successes = [int(r[header.index("success")]) for r in kept_rows]
 
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(sac.EpisodeMetrics.COLUMNS)
-        for row in kept_rows:
-            writer.writerow(row)
+        writer.writerow(columns)
+        writer.writerows(kept_rows)
         fh.flush()
         for metrics in trainer.run():
-            writer.writerow(metrics.to_row())
+            writer.writerow(table_row(astuple(metrics)))
             fh.flush()
             returns.append(metrics.episode_return)
             successes.append(int(metrics.success))
@@ -255,67 +274,27 @@ def _evaluate_policy(policy, env: SoftCaptureEnv, seed: int, episodes: int, out:
         success = env.is_success()
         if out is not None:
             write_trace_csv(out / f"episode_{ep:04d}_trace.csv", env.trace)
-        n = env.config.episode_length
-        rows.append({
-            "episode": ep,
-            "episode_return": total,
-            "success": int(success),
-            "mean_r_dist": float(terms[0]) / n,
-            "mean_r_align": float(terms[1]) / n,
-            "mean_r_surr": float(terms[2]) / n,
-            "mean_r_contact": float(terms[3]) / n,
-        })
+        rows.append((ep, total, int(success), *(terms / env.config.episode_length).tolist()))
     return rows
 
 
 def _eval_summary(rows) -> Dict:
     if not rows:
         return {"episodes": 0}
-    return {
-        "episodes": len(rows),
-        "success_rate": float(np.mean([r["success"] for r in rows])),
-        "mean_return": float(np.mean([r["episode_return"] for r in rows])),
-        "mean_r_dist": float(np.mean([r["mean_r_dist"] for r in rows])),
-        "mean_r_align": float(np.mean([r["mean_r_align"] for r in rows])),
-        "mean_r_surr": float(np.mean([r["mean_r_surr"] for r in rows])),
-        "mean_r_contact": float(np.mean([r["mean_r_contact"] for r in rows])),
-    }
-
-
-def _write_eval_csv(path: Path, rows) -> None:
-    cols = ["episode", "episode_return", "success",
-            "mean_r_dist", "mean_r_align", "mean_r_surr", "mean_r_contact"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow([r["episode"], repr(r["episode_return"]), r["success"],
-                             repr(r["mean_r_dist"]), repr(r["mean_r_align"]),
-                             repr(r["mean_r_surr"]), repr(r["mean_r_contact"])])
-
-
-def _load_checked_policy(checkpoint: str, env: SoftCaptureEnv):
-    policy, meta = load_policy(checkpoint)
-    if int(meta["obs_dim"]) != env.observation_dim:
-        raise ValueError(
-            f"checkpoint observation width {meta['obs_dim']} (tactile={meta['tactile']}) "
-            f"does not match the configured environment width {env.observation_dim} "
-            f"(tactile={env.config.tactile_enabled}); fix the --tactile flag or the checkpoint"
-        )
-    if int(meta["action_dim"]) != env.action_dim:
-        raise ValueError(
-            f"checkpoint action width {meta['action_dim']} does not match "
-            f"the environment action width {env.action_dim}"
-        )
-    return policy
+    cols = dict(zip(EVAL_COLUMNS, zip(*rows)))
+    summary = {"episodes": len(rows), "success_rate": float(np.mean(cols["success"])),
+               "mean_return": float(np.mean(cols["episode_return"]))}
+    summary.update((c, float(np.mean(cols[c]))) for c in _TERM_MEANS)
+    return summary
 
 
 def _eval(cfg: RunConfig, out: Path) -> Dict:
     """Evaluate ``cfg.checkpoint`` into ``out``: traces and ``eval_metrics.csv``."""
     env = SoftCaptureEnv(cfg.env)
-    policy = _load_checked_policy(cfg.checkpoint, env)
+    policy, meta = load_policy(cfg.checkpoint)
+    check_checkpoint_fits(cfg.checkpoint, meta, env)
     rows = _evaluate_policy(policy, env, cfg.seed, cfg.eval_episodes, out)
-    _write_eval_csv(out / "eval_metrics.csv", rows)
+    write_table(out / "eval_metrics.csv", EVAL_COLUMNS, rows)
     return _eval_summary(rows)
 
 
@@ -353,22 +332,10 @@ def run_compare(cfg: RunConfig) -> int:
             summary = _eval(replace(arm, mode="eval", checkpoint=checkpoint), arm_out)
             summary.update({"arm": label, "tactile": int(tactile)})
             table.append(summary)
-
-        cols = ["arm", "tactile", "episodes", "success_rate", "mean_return",
-                "mean_r_dist", "mean_r_align", "mean_r_surr", "mean_r_contact"]
-
-        def cell(value):
-            if value is None:
-                return ""
-            return repr(value) if isinstance(value, float) else value
-
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in table:
-                writer.writerow([cell(row.get(c)) for c in cols])
+        write_table(out / "comparison.csv", COMPARE_COLUMNS,
+                    ([row.get(c) for c in COMPARE_COLUMNS] for row in table))
         for row in table:
-            print("  ".join(f"{c}={row.get(c)}" for c in cols))
+            print("  ".join(f"{c}={row.get(c)}" for c in COMPARE_COLUMNS))
         return {"arms": table}
 
     return _run(cfg, body)
@@ -379,32 +346,25 @@ def run_compare(cfg: RunConfig) -> int:
 def run_replay_export(cfg: RunConfig) -> int:
     def body(out: Path) -> Dict:
         header, rows = read_trace_csv(cfg.trace)
-        missing = [c for c in REWARD_COLUMNS if c not in header]
+        reward_columns = ("step", *TRACE_REWARD_COLUMNS)
+        pose_columns = ("step", *TRACE_POSE_COLUMNS)
+        missing = [c for c in reward_columns if c not in header]
         if missing:
             raise ValueError(f"{cfg.trace}: missing required columns {missing}")
         idx = {c: header.index(c) for c in header}
         if not rows:
             print(f"warning: {cfg.trace} holds no timestep rows", file=sys.stderr)
 
-        stem = Path(cfg.trace).stem
-        rewards_path = out / f"{stem}_rewards.csv"
-        with open(rewards_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REWARD_COLUMNS)
-            for row in rows:
-                writer.writerow([int(row[idx["step"]])] +
-                                [repr(float(row[idx[c]])) for c in REWARD_COLUMNS[1:]])
+        def export(path: Path, columns) -> Path:
+            write_table(path, columns, ([int(row[idx["step"]]), *(row[idx[c]] for c in columns[1:])]
+                                        for row in rows))
+            return path
 
-        have_poses = all(c in header for c in POSE_COLUMNS)
+        stem = Path(cfg.trace).stem
+        rewards_path = export(out / f"{stem}_rewards.csv", reward_columns)
         poses_path = None
-        if have_poses:
-            poses_path = out / f"{stem}_poses.csv"
-            with open(poses_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(POSE_COLUMNS)
-                for row in rows:
-                    writer.writerow([int(row[idx["step"]])] +
-                                    [repr(float(row[idx[c]])) for c in POSE_COLUMNS[1:]])
+        if all(c in header for c in pose_columns):
+            poses_path = export(out / f"{stem}_poses.csv", pose_columns)
 
         rewards = [float(row[idx["reward"]]) for row in rows]
         threshold = cfg.env.success_reward_threshold
@@ -417,9 +377,7 @@ def run_replay_export(cfg: RunConfig) -> int:
             "rewards_file": str(rewards_path),
             "poses_file": str(poses_path) if poses_path else None,
         }
-        with open(out / f"{stem}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / f"{stem}_summary.json", summary)
         print(f"longest success streak: {streak} "
               f"(threshold {threshold}, flagged at {cfg.env.success_streak_length})")
         return summary

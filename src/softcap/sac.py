@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -463,25 +463,6 @@ class EpisodeMetrics:
     alpha: float
     buffer_size: int
 
-    COLUMNS = (
-        "episode", "env_steps", "updates", "episode_return",
-        "r_dist_total", "r_align_total", "r_surr_total", "r_contact_total",
-        "success", "critic1_loss", "critic2_loss", "policy_loss",
-        "alpha_loss", "alpha", "buffer_size",
-    )
-
-    def to_row(self) -> List[str]:
-        return [
-            str(self.episode), str(self.env_steps), str(self.updates),
-            repr(self.episode_return),
-            repr(self.r_dist_total), repr(self.r_align_total),
-            repr(self.r_surr_total), repr(self.r_contact_total),
-            str(int(self.success)),
-            repr(self.critic1_loss), repr(self.critic2_loss),
-            repr(self.policy_loss), repr(self.alpha_loss), repr(self.alpha),
-            str(self.buffer_size),
-        ]
-
 
 def episode_seed(master_seed: int, episode: int, stream: int = 3) -> int:
     """Stateless per-episode environment seed, stable across resumes."""
@@ -601,12 +582,7 @@ class Trainer:
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
         arrays = neural.load_arrays(path)
         meta = _json_from_array(arrays["meta"])
-        if meta["obs_dim"] != env.observation_dim or meta["action_dim"] != env.action_dim:
-            raise ValueError(
-                f"checkpoint built for obs/action dims "
-                f"({meta['obs_dim']}, {meta['action_dim']}), environment has "
-                f"({env.observation_dim}, {env.action_dim})"
-            )
+        check_checkpoint_fits(path, meta, env)
         if meta["seed"] != config.seed:
             raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
                              f"the run asks for seed {config.seed}")
@@ -634,6 +610,17 @@ class Trainer:
         trainer.rng_act.bit_generator.state = meta["rng_act"]
         trainer.rng_learn.bit_generator.state = meta["rng_learn"]
         return trainer
+
+
+def check_checkpoint_fits(path, meta: Dict, env) -> None:
+    """Reject a checkpoint whose network widths do not fit ``env``."""
+    if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
+        raise ValueError(
+            f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
+            f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
+            f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
+            f"fix the --tactile flag or the checkpoint"
+        )
 
 
 def load_policy(path) -> Tuple[PolicyNet, Dict]:

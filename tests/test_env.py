@@ -1,4 +1,6 @@
+import csv
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from softcap.env import (
     is_success,
     longest_streak,
     read_trace_csv,
+    write_table,
     write_trace_csv,
 )
 from softcap.spatial import Obb, Pose
@@ -429,6 +432,18 @@ def test_trace_round_trip(tmp_path):
     reward_idx = header.index("reward")
     for record, row in zip(env.trace, rows):
         assert row[reward_idx] == record.reward  # repr round trip is exact
+
+
+def test_table_row_round_trips_every_cell_kind(tmp_path):
+    floats = [float("nan"), float("inf"), -0.0, 5e-324, 0.1]
+    path = tmp_path / "table.csv"
+    write_table(path, ["f0", "f1", "f2", "f3", "f4", "n", "t", "f", "none", "s"],
+                [[*floats, 2**70, True, False, None, 'a,"b"']])
+    with open(path, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 10
+    assert [struct.pack("<d", float(v)) for v in row[:5]] == [struct.pack("<d", v) for v in floats]
+    assert row[5:] == [str(2**70), "1", "0", "", 'a,"b"']
 
 
 def test_trace_parse_error_carries_line_number(tmp_path):

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from softcap import cli, harness, sac
+from softcap.env import SoftCaptureEnv, table_row
 from softcap.harness import RunConfig, load_config, run_compare, run_eval, run_replay_export, run_train
 
 
@@ -81,6 +82,15 @@ def test_load_config_rejects_invalid_values(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"env": {"action_noise_fraction": 1.5}}))
     with pytest.raises(ValueError):
+        load_config("train", str(path))
+
+
+def test_load_config_scalar_type_rules(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"train": {"learning_rate": 1, "target_entropy": None}}))
+    assert load_config("train", str(path)).train.learning_rate == 1  # a float field takes an int
+    path.write_text(yaml.safe_dump({"episodes": True}))
+    with pytest.raises(ValueError, match="episodes must be int, got True"):
         load_config("train", str(path))
 
 
@@ -253,7 +263,17 @@ def test_compare_zero_train_episodes_is_honoured(tmp_path):
     assert run_compare(cfg) == 0
     for arm in ("arm_a", "arm_b"):
         rows = (tmp_path / "cmp0" / arm / "metrics.csv").read_text().splitlines()
-        assert rows == [",".join(sac.EpisodeMetrics.COLUMNS)]
+        assert rows == [",".join(f.name for f in fields(sac.EpisodeMetrics))]
+
+
+def test_metrics_csv_rows_are_the_trainer_metrics(tmp_path):
+    cfg = make_config("train", tmp_path / "run", episodes=2)
+    assert run_train(cfg) == 0
+    with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f.name for f in fields(sac.EpisodeMetrics)]
+    metrics = sac.Trainer(SoftCaptureEnv(cfg.env), cfg.train).run()
+    assert rows == [table_row(astuple(m)) for m in metrics]
 
 
 def test_compare_rejects_top_level_checkpoint(tmp_path):
@@ -397,6 +417,33 @@ def test_cli_bad_config_fails_loudly(tmp_path, capsys):
     code = cli.main(["train", "--config", str(cfg_path)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    (None, "episodes", "ten", "episodes must be int"),
+    ("env", "episode_length", "500", "env.episode_length must be int"),
+    ("env", "target_half_extents", [0.05, 0.05], "target_half_extents must have 3 entries"),
+])
+def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, section, key, value, named):
+    data = small_run_dict(tmp_path / "out")
+    (data[section] if section else data)[key] = value
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(data))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_resume_refuses_checkpoint_of_other_tactile_flag(tmp_path):
+    ckpt = trained_checkpoint(tmp_path, tactile=True)  # 40-wide policy
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_run_dict(tmp_path / "resume", episodes=3)))
+    code = cli.main(["train", "--config", str(cfg_path), "--checkpoint", ckpt, "--tactile", "off"])
+    assert code == 1
+    error = json.loads((tmp_path / "resume" / "run_manifest.json").read_text())["error"]
+    for part in (ckpt, "(40, 6)", "tactile=True", "(39, 6)", "tactile=False"):
+        assert part in error
 
 
 def test_cli_mode_requirements_fail_loudly(capsys):

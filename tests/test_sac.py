@@ -1,12 +1,12 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from softcap import neural, sac
-from softcap.env import SoftCaptureEnv
+from softcap.env import SoftCaptureEnv, table_row
 from softcap.neural import DenseParams
 from softcap.sac import (
     Batch,
@@ -573,7 +573,7 @@ def test_trainer_deterministic_metrics():
     m1, m2 = run(), run()
     # Compare through the CSV row form, where NaN placeholders for the
     # pre-update episodes compare equal.
-    assert [m.to_row() for m in m1] == [m.to_row() for m in m2]
+    assert [table_row(astuple(m)) for m in m1] == [table_row(astuple(m)) for m in m2]
     assert m1[-1].updates > 0  # learning actually happened at this scale
 
 
@@ -625,7 +625,7 @@ def test_trainer_resume_reproduces_stream(tmp_path):
     first.save(path)
     resumed = Trainer.load(path, fresh_env(), config4)
     part2 = list(resumed.run())
-    assert [m.to_row() for m in part1 + part2] == [m.to_row() for m in straight]
+    assert [table_row(astuple(m)) for m in part1 + part2] == [table_row(astuple(m)) for m in straight]
 
 
 def test_trainer_halts_on_non_finite(monkeypatch):
