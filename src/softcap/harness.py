@@ -23,11 +23,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import ActionLimits
-from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, RandomizationSpec, SoftCaptureEnv,
-                  longest_streak, read_trace_csv, table_row, write_table, write_trace_csv)
-from .sac import (EpisodeMetrics, TrainConfig, Trainer, check_checkpoint_fits, deterministic_action,
-                  episode_seed, load_policy)
+from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
+                  read_trace_csv, table_row, write_table, write_trace_csv)
+from .sac import EpisodeMetrics, TrainConfig, Trainer, deterministic_action, episode_seed
 
 _EVAL_STREAM = 4
 
@@ -80,19 +78,30 @@ class RunConfig:
         self.train = replace(self.train, seed=self.seed, episodes=self.episodes)
 
 
+def _fits(value, hint) -> bool:
+    """The scalar rule: a float field accepts an int, and no number field
+    accepts a bool."""
+    wanted = (int, float) if hint is float else hint
+    return isinstance(value, wanted) and (hint is bool or not isinstance(value, bool))
+
+
 def _check_scalar(name: str, value, hint) -> None:
     """Reject a value that does not match a ``bool``/``int``/``float``/``str``
-    field.  ``Optional`` fields accept null, a float field accepts an int,
-    and no number field accepts a bool."""
+    field by the scalar rule, or a ``Tuple`` field with a list of another
+    length or with an element that breaks the rule.  ``Optional`` fields
+    accept null."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union and type(None) in args:
+    origin = typing.get_origin(hint)
+    if origin is typing.Union and type(None) in args:
         if value is None:
             return
         hint = args[0]
-    if hint not in (bool, int, float, str):
+    elif origin is tuple:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args))):
+            raise ValueError(f"{name} must be {len(args)} numbers, got {value!r}")
         return
-    wanted = (int, float) if hint is float else hint
-    if not isinstance(value, wanted) or (hint is not bool and isinstance(value, bool)):
+    if hint in (bool, int, float, str) and not _fits(value, hint):
         raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
 
 
@@ -103,14 +112,12 @@ def _build_dataclass(cls, data: Dict, label: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown {label} keys: {unknown}")
-    nested = {"randomization": RandomizationSpec, "action_limits": ActionLimits,
-              "env": EnvConfig, "train": TrainConfig, "compare": CompareSpec}
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         name = key if cls is RunConfig else f"{label}.{key}"
-        if key in nested:
-            value = _build_dataclass(nested[key], value, name)
+        if dataclasses.is_dataclass(hints[key]):
+            value = _build_dataclass(hints[key], value, name)
         else:
             _check_scalar(name, value, hints[key])
         kwargs[key] = value
@@ -217,12 +224,17 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     metrics_path = out / "metrics.csv"
     header = columns = [f.name for f in fields(EpisodeMetrics)]
     # A resumed run keeps the rows of the episodes its checkpoint holds,
-    # written back as read.
+    # written back as read.  Resumed into a directory without them, its
+    # table and summary cover only the episodes it runs.
     kept_rows: List[List[str]] = []
     if trainer.episode > 0 and metrics_path.exists():
         with open(metrics_path, newline="") as fh:
             header, *old_rows = csv.reader(fh)
         kept_rows = old_rows[: trainer.episode]
+    if len(kept_rows) < trainer.episode:
+        print(f"warning: {metrics_path} holds {len(kept_rows)} of the {trainer.episode} episodes "
+              f"the checkpoint has run; the summary's means cover only the episodes in it",
+              file=sys.stderr)
     returns = [float(r[header.index("episode_return")]) for r in kept_rows]
     successes = [int(r[header.index("success")]) for r in kept_rows]
 
@@ -244,6 +256,7 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     tail = returns[-10:] if returns else []
     return {
         "episodes": trainer.episode,
+        "summarized_episodes": len(returns),
         "env_steps": trainer.env_steps,
         "updates": trainer.updates,
         "mean_return": float(np.mean(returns)) if returns else None,
@@ -291,8 +304,7 @@ def _eval_summary(rows) -> Dict:
 def _eval(cfg: RunConfig, out: Path) -> Dict:
     """Evaluate ``cfg.checkpoint`` into ``out``: traces and ``eval_metrics.csv``."""
     env = SoftCaptureEnv(cfg.env)
-    policy, meta = load_policy(cfg.checkpoint)
-    check_checkpoint_fits(cfg.checkpoint, meta, env)
+    policy = Trainer.load_policy(cfg.checkpoint, env)
     rows = _evaluate_policy(policy, env, cfg.seed, cfg.eval_episodes, out)
     write_table(out / "eval_metrics.csv", EVAL_COLUMNS, rows)
     return _eval_summary(rows)

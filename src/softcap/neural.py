@@ -47,6 +47,10 @@ class DenseParams:
             dst[...] = src
 
     @classmethod
+    def zeros(cls, sizes: Sequence[int]) -> "DenseParams":
+        return cls.from_flat(np.zeros(param_count(sizes)), sizes)
+
+    @classmethod
     def from_flat(cls, flat: np.ndarray, sizes: Sequence[int]) -> "DenseParams":
         """Parameters laid out for ``sizes`` over ``flat`` itself, not a copy."""
         params = cls.__new__(cls)
@@ -79,7 +83,7 @@ class DenseParams:
         return DenseParams.from_flat(self.flat.copy(), self.layer_sizes)
 
     def zeros_like(self) -> "DenseParams":
-        return DenseParams.from_flat(np.zeros_like(self.flat), self.layer_sizes)
+        return DenseParams.zeros(self.layer_sizes)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -136,7 +140,7 @@ def init_params(seed: int, sizes: List[int]) -> DenseParams:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least an input and an output size, all >= 1")
     rng = np.random.default_rng(seed)
-    params = DenseParams.from_flat(np.zeros(param_count(sizes)), sizes)
+    params = DenseParams.zeros(sizes)
     for w, fan_in in zip(params.weights, sizes[:-1]):
         bound = (1.0 / fan_in) ** 0.5
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -349,23 +353,3 @@ def load_arrays(path) -> Dict[str, np.ndarray]:
     if offset != data.size:
         raise ValueError(f"{path}: {data.size - offset} bytes after the last entry")
     return arrays
-
-
-def pack_params(prefix: str, params: DenseParams, arrays: Dict[str, np.ndarray]) -> None:
-    """Write a parameter stack into a checkpoint dict under layer-indexed names."""
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"{prefix}.w{i}"] = w
-        arrays[f"{prefix}.b{i}"] = b
-
-
-def unpack_params(prefix: str, arrays: Dict[str, np.ndarray]) -> DenseParams:
-    """Copy the stack stored under ``prefix`` into a new flat parameter vector."""
-    weights, biases = [], []
-    i = 0
-    while f"{prefix}.w{i}" in arrays:
-        weights.append(arrays[f"{prefix}.w{i}"])
-        biases.append(arrays[f"{prefix}.b{i}"])
-        i += 1
-    if not weights:
-        raise ValueError(f"checkpoint holds no parameters under {prefix!r}")
-    return DenseParams(weights, biases)

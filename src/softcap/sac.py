@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -52,6 +53,11 @@ class TrainConfig:
             raise ValueError("episodes must be >= 0")
 
 
+def layer_sizes(obs_dim: int, action_dim: int) -> Tuple[List[int], List[int]]:
+    """Layer widths of the policy and of each critic."""
+    return [obs_dim, *HIDDEN_SIZES, 2 * action_dim], [obs_dim + action_dim, *HIDDEN_SIZES, 1]
+
+
 # ----------------------------------------------------------------------
 # Policy
 @dataclass
@@ -60,11 +66,6 @@ class PolicyNet:
 
     params: DenseParams
     action_dim: int
-
-    @classmethod
-    def create(cls, seed: int, obs_dim: int, action_dim: int) -> "PolicyNet":
-        sizes = [obs_dim, *HIDDEN_SIZES, 2 * action_dim]
-        return cls(params=neural.init_params(seed, sizes), action_dim=action_dim)
 
 
 def _policy_heads(policy: PolicyNet, obs: np.ndarray, ws: Optional[Workspace] = None):
@@ -121,13 +122,6 @@ class TwinCritics:
     q2: DenseParams
     target_q1: DenseParams
     target_q2: DenseParams
-
-    @classmethod
-    def create(cls, seed1: int, seed2: int, obs_dim: int, action_dim: int) -> "TwinCritics":
-        sizes = [obs_dim + action_dim, *HIDDEN_SIZES, 1]
-        q1 = neural.init_params(seed1, sizes)
-        q2 = neural.init_params(seed2, sizes)
-        return cls(q1=q1, q2=q2, target_q1=q1.clone(), target_q2=q2.clone())
 
 
 class Workspaces(NamedTuple):
@@ -221,29 +215,6 @@ class ReplayBuffer:
             next_obs=self._next_obs[idx],
             done=self._done[idx],
         )
-
-    def state_arrays(self, prefix: str, arrays: Dict[str, np.ndarray]) -> None:
-        n = self._size
-        arrays[f"{prefix}.obs"] = self._obs[:n]
-        arrays[f"{prefix}.action"] = self._action[:n]
-        arrays[f"{prefix}.reward"] = self._reward[:n]
-        arrays[f"{prefix}.next_obs"] = self._next_obs[:n]
-        arrays[f"{prefix}.done"] = self._done[:n]
-        arrays[f"{prefix}.cursor"] = np.array(float(self._cursor))
-
-    def restore(self, prefix: str, arrays: Dict[str, np.ndarray]) -> None:
-        obs = arrays[f"{prefix}.obs"]
-        n = obs.shape[0]
-        if n > self.capacity:
-            raise ValueError(f"saved buffer holds {n} transitions, more than its capacity "
-                             f"of {self.capacity} (buffer_capacity)")
-        self._obs[:n] = obs
-        self._action[:n] = arrays[f"{prefix}.action"]
-        self._reward[:n] = arrays[f"{prefix}.reward"]
-        self._next_obs[:n] = arrays[f"{prefix}.next_obs"]
-        self._done[:n] = arrays[f"{prefix}.done"]
-        self._size = n
-        self._cursor = int(arrays[f"{prefix}.cursor"])
 
 
 # ----------------------------------------------------------------------
@@ -371,30 +342,30 @@ class SacAgent:
     The agent keeps one workspace per network slot, all three sharing one
     scratch workspace, so after the first update at a given batch size an
     update allocates no network-sized arrays: parameters, moments and
-    target copies change in place.  The
-    optimizer states start at zero unless ``optimizers`` (policy, q1, q2,
-    temperature) carries them over, as when resuming from a checkpoint.
+    target copies change in place.  The optimizer states start at zero; a
+    checkpoint load fills them in.
     """
 
     def __init__(self, policy: PolicyNet, critics: TwinCritics,
-                 temperature: Temperature, config: TrainConfig,
-                 optimizers: Optional[Tuple[AdamState, AdamState, AdamState, "_ScalarAdam"]] = None):
+                 temperature: Temperature, config: TrainConfig):
         self.policy = policy
         self.critics = critics
         self.temperature = temperature
         self.config = config
-        if optimizers is None:
-            optimizers = (AdamState.zeros_like(policy.params), AdamState.zeros_like(critics.q1),
-                          AdamState.zeros_like(critics.q2), _ScalarAdam())
-        self.opt_policy, self.opt_q1, self.opt_q2, self.opt_alpha = optimizers
+        self.opt_policy = AdamState.zeros_like(policy.params)
+        self.opt_q1 = AdamState.zeros_like(critics.q1)
+        self.opt_q2 = AdamState.zeros_like(critics.q2)
+        self.opt_alpha = _ScalarAdam()
         scratch = Workspace()
         self.ws = Workspaces(Workspace(scratch), Workspace(scratch), Workspace(scratch))
 
     @classmethod
     def create(cls, seed: int, obs_dim: int, action_dim: int, config: TrainConfig) -> "SacAgent":
-        net_seeds = np.random.SeedSequence((seed, 0)).generate_state(3)
-        policy = PolicyNet.create(int(net_seeds[0]), obs_dim, action_dim)
-        critics = TwinCritics.create(int(net_seeds[1]), int(net_seeds[2]), obs_dim, action_dim)
+        policy_sizes, critic_sizes = layer_sizes(obs_dim, action_dim)
+        seeds = [int(s) for s in np.random.SeedSequence((seed, 0)).generate_state(3)]
+        policy = PolicyNet(neural.init_params(seeds[0], policy_sizes), action_dim)
+        q1, q2 = (neural.init_params(s, critic_sizes) for s in seeds[1:])
+        critics = TwinCritics(q1, q2, target_q1=q1.clone(), target_q2=q2.clone())
         target_entropy = config.target_entropy
         if target_entropy is None:
             target_entropy = -float(action_dim)
@@ -542,97 +513,121 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        arrays: Dict[str, np.ndarray] = {}
-        neural.pack_params("policy", self.agent.policy.params, arrays)
-        neural.pack_params("q1", self.agent.critics.q1, arrays)
-        neural.pack_params("q2", self.agent.critics.q2, arrays)
-        neural.pack_params("target_q1", self.agent.critics.target_q1, arrays)
-        neural.pack_params("target_q2", self.agent.critics.target_q2, arrays)
-        for name, opt in (("policy", self.agent.opt_policy),
-                          ("q1", self.agent.opt_q1), ("q2", self.agent.opt_q2)):
-            neural.pack_params(f"adam.{name}.m", opt.m, arrays)
-            neural.pack_params(f"adam.{name}.v", opt.v, arrays)
-            arrays[f"adam.{name}.t"] = np.array(float(opt.t))
-        arrays["adam.alpha"] = np.array(
-            [self.agent.opt_alpha.m, self.agent.opt_alpha.v, float(self.agent.opt_alpha.t)]
-        )
-        self.buffer.state_arrays("buffer", arrays)
+    # A checkpoint (format v2) is the table of ``checkpoint_table`` plus a
+    # JSON ``meta`` entry with the scalars, whose floats round-trip exactly.
+    # ``save`` writes the table; ``load`` copies each entry of the file into
+    # the same table of a zero-filled trainer.
+    def _adam(self):
+        agent = self.agent
+        return (("policy", agent.opt_policy), ("q1", agent.opt_q1), ("q2", agent.opt_q2))
+
+    def checkpoint_table(self) -> Dict[str, np.ndarray]:
+        """Checkpoint entry name -> the live array it saves and restores:
+        each network and Adam moment whole, and the buffer's filled rows."""
+        critics, buf = self.agent.critics, self.buffer
+        table = {"policy": self.agent.policy.params.flat, "q1": critics.q1.flat, "q2": critics.q2.flat,
+                 "target_q1": critics.target_q1.flat, "target_q2": critics.target_q2.flat}
+        for name, opt in self._adam():
+            table[f"adam.{name}.m"] = opt.m.flat
+            table[f"adam.{name}.v"] = opt.v.flat
+        for name in ("obs", "action", "reward", "next_obs", "done"):
+            table[f"buffer.{name}"] = getattr(buf, f"_{name}")[: len(buf)]
+        return table
+
+    def save(self, path) -> None:
+        temperature, buf = self.agent.temperature, self.buffer
         meta = {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "obs_dim": self.env.observation_dim,
             "action_dim": self.env.action_dim,
             "tactile": bool(self.env.config.tactile_enabled),
+            "seed": self.config.seed,
             "episode": self.episode,
             "env_steps": self.env_steps,
             "updates": self.updates,
-            "log_alpha": self.agent.temperature.log_alpha,
-            "target_entropy": self.agent.temperature.target_entropy,
-            "seed": self.config.seed,
+            "log_alpha": temperature.log_alpha,
+            "target_entropy": temperature.target_entropy,
+            "adam_steps": {name: opt.t for name, opt in self._adam()},
+            "adam_alpha": asdict(self.agent.opt_alpha),
+            "buffer_size": len(buf),
+            "buffer_cursor": buf._cursor,
             "rng_act": self.rng_act.bit_generator.state,
             "rng_learn": self.rng_learn.bit_generator.state,
         }
-        arrays["meta"] = _json_to_array(meta)
-        return arrays
-
-    def save(self, path) -> None:
-        neural.save_arrays(path, self.state_arrays())
+        neural.save_arrays(path, {**self.checkpoint_table(), "meta": _json_to_array(meta)})
 
     @classmethod
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
-        arrays = neural.load_arrays(path)
-        meta = _json_from_array(arrays["meta"])
-        check_checkpoint_fits(path, meta, env)
-        if meta["seed"] != config.seed:
-            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
-                             f"the run asks for seed {config.seed}")
-        unpack = neural.unpack_params
-        adam = tuple(
-            AdamState(m=unpack(f"adam.{name}.m", arrays), v=unpack(f"adam.{name}.v", arrays),
-                      t=int(arrays[f"adam.{name}.t"]))
-            for name in ("policy", "q1", "q2")
-        )
-        alpha_opt = arrays["adam.alpha"]
-        agent = SacAgent(
-            PolicyNet(unpack("policy", arrays), env.action_dim),
-            TwinCritics(q1=unpack("q1", arrays), q2=unpack("q2", arrays),
-                        target_q1=unpack("target_q1", arrays), target_q2=unpack("target_q2", arrays)),
-            Temperature(log_alpha=float(meta["log_alpha"]),
-                        target_entropy=float(meta["target_entropy"])),
-            config,
-            (*adam, _ScalarAdam(m=float(alpha_opt[0]), v=float(alpha_opt[1]), t=int(alpha_opt[2]))),
-        )
+        policy_sizes, critic_sizes = layer_sizes(env.observation_dim, env.action_dim)
+        zeros = DenseParams.zeros
+        critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))
+        # The temperature, like every other scalar, is set from the meta.
+        agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics,
+                         Temperature(0.0, 0.0), config)
         trainer = cls(env, config, agent)
-        trainer.buffer.restore("buffer", arrays)
-        trainer.episode = int(meta["episode"])
-        trainer.env_steps = int(meta["env_steps"])
-        trainer.updates = int(meta["updates"])
-        trainer.rng_act.bit_generator.state = meta["rng_act"]
-        trainer.rng_learn.bit_generator.state = meta["rng_learn"]
+        cls._read(path, env, lambda meta: trainer._restore(path, meta))
         return trainer
 
+    def _restore(self, path, meta: Dict) -> Dict[str, np.ndarray]:
+        """Set the scalars of ``meta``; return the table its entries fill."""
+        if meta["seed"] != self.config.seed:
+            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
+                             f"the run asks for seed {self.config.seed}")
+        buf = self.buffer
+        if meta["buffer_size"] > buf.capacity:
+            raise ValueError(f"{path}: saved buffer holds {meta['buffer_size']} transitions, more than "
+                             f"its capacity of {buf.capacity} (buffer_capacity)")
+        buf._size, buf._cursor = meta["buffer_size"], meta["buffer_cursor"]
+        temperature = self.agent.temperature
+        temperature.log_alpha = float(meta["log_alpha"])
+        temperature.target_entropy = float(meta["target_entropy"])
+        for name, opt in self._adam():
+            opt.t = meta["adam_steps"][name]
+        self.agent.opt_alpha = _ScalarAdam(**meta["adam_alpha"])
+        self.episode, self.env_steps, self.updates = meta["episode"], meta["env_steps"], meta["updates"]
+        self.rng_act.bit_generator.state = meta["rng_act"]
+        self.rng_learn.bit_generator.state = meta["rng_learn"]
+        return self.checkpoint_table()
 
-def check_checkpoint_fits(path, meta: Dict, env) -> None:
-    """Reject a checkpoint whose network widths do not fit ``env``."""
-    if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
-        raise ValueError(
-            f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
-            f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
-            f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
-            f"fix the --tactile flag or the checkpoint"
-        )
+    @staticmethod
+    def load_policy(path, env) -> PolicyNet:
+        """Just the policy of the checkpoint at ``path``, for evaluation in ``env``."""
+        policy = PolicyNet(DenseParams.zeros(layer_sizes(env.observation_dim, env.action_dim)[0]),
+                           env.action_dim)
+        Trainer._read(path, env, lambda meta: {"policy": policy.params.flat})
+        return policy
 
-
-def load_policy(path) -> Tuple[PolicyNet, Dict]:
-    """Read just the policy and checkpoint metadata, for evaluation."""
-    arrays = neural.load_arrays(path)
-    meta = _json_from_array(arrays["meta"])
-    params = neural.unpack_params("policy", arrays)
-    return PolicyNet(params=params, action_dim=int(meta["action_dim"])), meta
+    @staticmethod
+    def _read(path, env, restore: Callable[[Dict], Dict[str, np.ndarray]]) -> None:
+        """The one check and copy of a checkpoint read: reject a file of
+        another format or of other network widths than ``env`` needs, hand
+        its meta to ``restore``, which returns the table to fill, and copy
+        each entry into that table, rejecting one that is missing or of
+        another shape."""
+        arrays = neural.load_arrays(path)
+        meta = _json_from_array(arrays["meta"])
+        version = meta.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint format v{version}, "
+                             f"this program reads v{CHECKPOINT_VERSION}")
+        if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
+            raise ValueError(
+                f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
+                f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
+                f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
+                f"fix the --tactile flag or the checkpoint"
+            )
+        for name, dst in restore(meta).items():
+            if name not in arrays:
+                raise ValueError(f"{path}: {name}: entry missing")
+            if arrays[name].shape != dst.shape:
+                raise ValueError(f"{path}: {name}: shape {arrays[name].shape}, expected {dst.shape}")
+            dst[...] = arrays[name]
 
 
 def _json_to_array(obj) -> np.ndarray:
-    return np.frombuffer(json.dumps(obj, sort_keys=True).encode("utf-8"), dtype=np.uint8).astype(float)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(float)
 
 
 def _json_from_array(arr: np.ndarray):

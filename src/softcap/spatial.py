@@ -159,9 +159,6 @@ class Pose:
     def transform_point(self, p_local) -> np.ndarray:
         return self.position + quat_rotate(self.orientation, p_local)
 
-    def inverse_transform_point(self, p_world) -> np.ndarray:
-        return quat_rotate(quat_conj(self.orientation), np.asarray(p_world, dtype=float) - self.position)
-
 
 @dataclass
 class ConvexRegion:
@@ -205,14 +202,12 @@ class ConvexRegion:
 
 def contains_point(region: ConvexRegion, region_pose: Pose, p_world, margin: float = 0.0) -> bool:
     """True iff the world point is inside the region shrunk by margin."""
-    if margin < 0.0:
-        raise ValueError("margin must be >= 0")
-    local = region_pose.inverse_transform_point(p_world)
-    return bool(np.all(region.normals @ local <= region.offsets - margin))
+    return bool(contains_points(region, region_pose, p_world, margin)[0])
 
 
 def contains_points(region: ConvexRegion, region_pose: Pose, points_world, margin: float = 0.0) -> np.ndarray:
-    """Vectorized ``contains_point`` over an (n, 3) array of world points."""
+    """Per point of an (n, 3) array of world points, whether it is inside
+    the region shrunk by margin."""
     if margin < 0.0:
         raise ValueError("margin must be >= 0")
     pts = np.asarray(points_world, dtype=float).reshape(-1, 3)

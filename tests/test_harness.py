@@ -422,7 +422,13 @@ def test_cli_bad_config_fails_loudly(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value, named", [
     (None, "episodes", "ten", "episodes must be int"),
     ("env", "episode_length", "500", "env.episode_length must be int"),
-    ("env", "target_half_extents", [0.05, 0.05], "target_half_extents must have 3 entries"),
+    ("env", "target_half_extents", [0.05, 0.05], "env.target_half_extents must be 3 numbers"),
+    ("env", "target_half_extents", ["a", "b", "c"],
+     "env.target_half_extents must be 3 numbers, got ['a', 'b', 'c']"),
+    ("env", "randomization", {"target_mass_range": [1.0]},
+     "env.randomization.target_mass_range must be 2 numbers, got [1.0]"),
+    ("env", "randomization", {"target_position_low": [0.4, "a", 0.0]},
+     "env.randomization.target_position_low must be 3 numbers, got [0.4, 'a', 0.0]"),
 ])
 def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, section, key, value, named):
     data = small_run_dict(tmp_path / "out")
@@ -433,6 +439,26 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, section, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_resume_into_fresh_directory_summarizes_its_own_rows(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_run_dict(tmp_path / "a", episodes=5, checkpoint_every=2)))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "a" / "checkpoint_ep000002.ckpt"
+    assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "fresh")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "holds 0 of the 2 episodes" in warnings[0]
+    with open(tmp_path / "fresh" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["episode"]) for r in rows] == [2, 3, 4]
+    summary = json.loads((tmp_path / "fresh" / "run_manifest.json").read_text())["final_summary"]
+    assert summary["episodes"] == 5
+    assert summary["summarized_episodes"] == 3
+    assert summary["mean_return"] == np.mean([float(r["episode_return"]) for r in rows])
+    assert summary["success_rate"] == np.mean([int(r["success"]) for r in rows])
 
 
 def test_cli_resume_refuses_checkpoint_of_other_tactile_flag(tmp_path):

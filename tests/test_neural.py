@@ -322,13 +322,3 @@ def test_dense_params_are_views_of_one_vector(rng):
     assert params.weights[0][0, 0] == 0.0 and params.biases[-1][-1] == params.flat.size - 1
     params.weights[1][...] = -1.0
     assert np.sum(params.flat == -1.0) == params.weights[1].size
-
-
-def test_pack_unpack_params(rng):
-    params = random_net(rng, [3, 5, 2])
-    arrays = {}
-    neural.pack_params("net", params, arrays)
-    back = neural.unpack_params("net", arrays)
-    assert back.layer_sizes == params.layer_sizes
-    for a, b in zip(back.weights, params.weights):
-        assert np.array_equal(a, b)

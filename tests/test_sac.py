@@ -515,40 +515,42 @@ def test_buffer_rejects_empty_sample():
         buf.sample(np.random.default_rng(0), 2)
 
 
-def test_buffer_checkpoint_round_trip():
-    buf = ReplayBuffer(capacity=8, obs_dim=3, action_dim=2)
-    for i in range(11):
-        buf.add(fill_transition(i))
-    arrays = {}
-    buf.state_arrays("buffer", arrays)
-    restored = ReplayBuffer(capacity=8, obs_dim=3, action_dim=2)
-    restored.restore("buffer", arrays)
+def saved_buffer(tmp_path, capacity, n):
+    """Path of a checkpoint whose trainer's buffer of ``capacity`` rows took
+    ``n`` transitions, and that buffer."""
+    env = SoftCaptureEnv(small_env_config())
+    trainer = Trainer(env, small_train_config(episodes=0, buffer_capacity=capacity))
+    for i in range(n):
+        trainer.buffer.add(fill_transition(i, env.observation_dim, env.action_dim))
+    path = tmp_path / "buffer.ckpt"
+    trainer.save(path)
+    return path, trainer.buffer
+
+
+def load_buffer(path, capacity):
+    return Trainer.load(path, SoftCaptureEnv(small_env_config()),
+                        small_train_config(episodes=0, buffer_capacity=capacity)).buffer
+
+
+def test_buffer_checkpoint_round_trip(tmp_path):
+    path, buf = saved_buffer(tmp_path, capacity=8, n=11)
+    restored = load_buffer(path, capacity=8)
     assert len(restored) == len(buf)
-    assert restored._cursor == buf._cursor
+    assert restored._cursor == buf._cursor == 3
     assert np.array_equal(restored._obs[: len(buf)], buf._obs[: len(buf)])
 
 
-def test_buffer_restore_into_smaller_capacity_rejected():
-    buf = ReplayBuffer(capacity=8, obs_dim=3, action_dim=2)
-    for i in range(6):
-        buf.add(fill_transition(i))
-    arrays = {}
-    buf.state_arrays("buffer", arrays)
-    small = ReplayBuffer(capacity=4, obs_dim=3, action_dim=2)
+def test_buffer_restore_into_smaller_capacity_rejected(tmp_path):
+    path, _ = saved_buffer(tmp_path, capacity=8, n=6)
     with pytest.raises(ValueError, match="6 transitions.*capacity of 4"):
-        small.restore("buffer", arrays)
+        load_buffer(path, capacity=4)
 
 
-def test_buffer_restore_then_add_keeps_storage():
-    buf = ReplayBuffer(capacity=100, obs_dim=3, action_dim=2)
-    for i in range(40):
-        buf.add(fill_transition(i))
-    arrays = {}
-    buf.state_arrays("buffer", arrays)
-    restored = ReplayBuffer(capacity=100, obs_dim=3, action_dim=2)
-    restored.restore("buffer", arrays)
+def test_buffer_restore_then_add_keeps_storage(tmp_path):
+    path, buf = saved_buffer(tmp_path, capacity=100, n=40)
+    restored = load_buffer(path, capacity=100)
     storage = restored._obs
-    restored.add(fill_transition(40))
+    restored.add(fill_transition(40, buf.obs_dim, buf.action_dim))
     assert restored._obs is storage
     assert len(restored) == 41
     assert np.array_equal(restored._reward[:41], np.arange(41.0))
@@ -646,10 +648,75 @@ def test_load_policy_reads_meta(tmp_path):
     list(trainer.run())
     path = tmp_path / "state.ckpt"
     trainer.save(path)
-    policy, meta = sac.load_policy(path)
-    assert meta["obs_dim"] == 40
-    assert meta["tactile"] is True
+    policy = Trainer.load_policy(path, env)
     assert policy.action_dim == 6
+    assert np.array_equal(policy.params.flat, trainer.agent.policy.params.flat)
     obs = np.zeros(40)
     a = deterministic_action(policy, obs)
     assert a.shape == (6,)
+    # The meta's widths and tactile flag are checked against the environment.
+    with pytest.raises(ValueError, match=r"\(40, 6\) with tactile=True.*\(39, 6\) with tactile=False"):
+        Trainer.load_policy(path, SoftCaptureEnv(small_env_config()))
+
+
+# ---------------------------------------------------------------- checkpoint table
+def trained_checkpoint(tmp_path):
+    env = SoftCaptureEnv(small_env_config())
+    trainer = Trainer(env, small_train_config(episodes=2, seed=4))
+    list(trainer.run())
+    path = tmp_path / "trained.ckpt"
+    trainer.save(path)
+    return path, trainer
+
+
+def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
+    path, trainer = trained_checkpoint(tmp_path)
+    assert trainer.updates > 0 and len(trainer.buffer) > 0
+    again = tmp_path / "again.ckpt"
+    Trainer.load(path, SoftCaptureEnv(small_env_config()), trainer.config).save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_entries_are_the_trainer_table(tmp_path):
+    path, trainer = trained_checkpoint(tmp_path)
+    arrays = neural.load_arrays(path)
+    table = trainer.checkpoint_table()
+    assert sorted(arrays) == sorted([*table, "meta"])
+    for name, live in table.items():
+        assert np.array_equal(arrays[name], live), name
+    assert table["policy"] is trainer.agent.policy.params.flat
+
+
+def rewrite_checkpoint(path, out, change):
+    arrays = {name: a.copy() for name, a in neural.load_arrays(path).items()}
+    meta = sac._json_from_array(arrays["meta"])
+    change(arrays, meta)
+    arrays["meta"] = sac._json_to_array(meta)
+    neural.save_arrays(out, arrays)
+    return out
+
+
+# Each case: how the file is changed, the error after its path, and whether
+# the policy reader, which reads only the meta and the policy, rejects it too.
+@pytest.mark.parametrize("change, message, policy_reader_rejects", [
+    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v2", True),
+    (lambda arrays, meta: arrays.pop("policy"), "policy: entry missing", True),
+    (lambda arrays, meta: arrays.pop("adam.q2.v"), "adam.q2.v: entry missing", False),
+    (lambda arrays, meta: arrays.update(target_q1=arrays["target_q1"][:-1]),
+     r"target_q1: shape \(\d+,\), expected \(\d+,\)", False),
+    (lambda arrays, meta: arrays.update({"buffer.done": arrays["buffer.done"][:-1]}),
+     r"buffer.done: shape \(79,\), expected \(80,\)", False),
+])
+def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, message,
+                                                         policy_reader_rejects):
+    path, trainer = trained_checkpoint(tmp_path)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", change)
+    env = SoftCaptureEnv(small_env_config())
+    match = f"^{re.escape(str(bad))}: {message}"
+    with pytest.raises(ValueError, match=match):
+        Trainer.load(bad, env, trainer.config)
+    if policy_reader_rejects:
+        with pytest.raises(ValueError, match=match):
+            Trainer.load_policy(bad, env)
+    else:
+        Trainer.load_policy(bad, env)
