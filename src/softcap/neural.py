@@ -312,44 +312,62 @@ def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_arrays(path) -> Dict[str, np.ndarray]:
-    """Read a checkpoint written by ``save_arrays``.
+def load_arrays(path, into: Optional[Dict[str, Optional[np.ndarray]]] = None) -> Dict[str, np.ndarray]:
+    """Read the entries of a checkpoint written by ``save_arrays``.
 
-    The arrays are views into one buffer holding the file, not copies;
-    callers that keep an entry copy it once into its final home.  A file
-    cut short, or with bytes after its last entry, is rejected with its
-    path and the entry concerned.
+    By default every entry is read into a new array.  With ``into``, only
+    the entries it names are read: each straight into the C-contiguous
+    float64 array it maps to, whose shape must match, or into a new array
+    where it maps to None; the others are skipped unread.  Returns the
+    entries read.  Every entry header is checked against the file size, so
+    a file cut short, or with bytes after its last entry, is rejected with
+    its path and the entry concerned.
     """
-    with open(path, "rb") as fh:
-        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        if fh.readinto(data) != data.size:
-            raise ValueError(f"{path}: file changed size while being read")
-    offset = 0
-
-    def take(n: int, entry: str) -> int:
-        nonlocal offset
-        if offset + n > data.size:
-            raise ValueError(f"{path}: {entry}: truncated, {n} bytes needed at offset "
-                             f"{offset} but {data.size - offset} left")
-        offset += n
-        return offset - n
-
-    if data[:4].tobytes() != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", data, take(12, "header") + 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     arrays: Dict[str, np.ndarray] = {}
-    for k in range(count):
-        entry = f"entry {k}"
-        (name_len,) = struct.unpack_from("<H", data, take(2, entry))
-        start = take(name_len, entry)
-        name = data[start : start + name_len].tobytes().decode("utf-8")
-        (ndim,) = struct.unpack_from("<B", data, take(1, name))
-        shape = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim, name))
-        n = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=n,
-                                     offset=take(8 * n, name)).reshape(shape)
-    if offset != data.size:
-        raise ValueError(f"{path}: {data.size - offset} bytes after the last entry")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
+
+        def take(n: int, entry: str) -> None:
+            nonlocal offset
+            if offset + n > size:
+                raise ValueError(f"{path}: {entry}: truncated, {n} bytes needed at offset "
+                                 f"{offset} but {size - offset} left")
+            offset += n
+
+        def read(n: int, entry: str) -> bytes:
+            take(n, entry)
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: file changed size while being read")
+            return data
+
+        header = fh.read(12)
+        if header[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        take(12, "header")
+        version, count = struct.unpack_from("<II", header, 4)
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        for k in range(count):
+            entry = f"entry {k}"
+            (name_len,) = struct.unpack("<H", read(2, entry))
+            name = read(name_len, entry).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1, name))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, name))
+            nbytes = 8 * math.prod(shape)
+            take(nbytes, name)
+            if into is not None and name not in into:
+                fh.seek(nbytes, os.SEEK_CUR)
+                continue
+            dst = None if into is None else into[name]
+            if dst is None:
+                dst = np.empty(shape, dtype="<f8")
+            elif dst.shape != shape:
+                raise ValueError(f"{path}: {name}: shape {shape}, expected {dst.shape}")
+            if fh.readinto(dst) != nbytes:
+                raise ValueError(f"{path}: file changed size while being read")
+            arrays[name] = dst
+    if offset != size:
+        raise ValueError(f"{path}: {size - offset} bytes after the last entry")
     return arrays

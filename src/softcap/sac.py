@@ -23,7 +23,7 @@ HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -173,9 +173,23 @@ class Batch(NamedTuple):
 
 
 class ReplayBuffer:
-    """Uniform ring buffer over transitions.  Storage for the full capacity
-    is allocated once, zero-filled, so the OS backs it with memory only as
-    rows are written; once full, the oldest records are overwritten."""
+    """Uniform ring buffer over transitions that stores each observation once.
+
+    Row ``i`` holds a transition's state, action, reward and done flag.  Its
+    next state is the state of row ``i + 1`` (mod capacity) when ``_slot[i]``
+    is -1, else row ``_slot[i]`` of the ``_tail`` ring, which keeps the next
+    states that do not start the following row, such as an episode's last.
+    The newest row always holds a tail slot, as its successor is not known
+    yet; the next ``add`` frees it when the new state equals it bit for bit.
+    Slots are taken in row order, so the tail ring, of ``capacity`` rows like
+    the main one, reuses a slot only once the row that held it is
+    overwritten.  ``_slot`` is float64, like every checkpoint entry, so that
+    a checkpoint reads straight into it.
+
+    Storage for the full capacity is allocated once, zero-filled, so the OS
+    backs it with memory only as rows are written; the tail ring gets about
+    one row per episode.  Once full, the oldest records are overwritten.
+    """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
@@ -188,8 +202,11 @@ class ReplayBuffer:
         self._obs = np.zeros((capacity, obs_dim))
         self._action = np.zeros((capacity, action_dim))
         self._reward = np.zeros(capacity)
-        self._next_obs = np.zeros((capacity, obs_dim))
         self._done = np.zeros(capacity)
+        self._slot = np.zeros(capacity)
+        self._tail = np.zeros((capacity, obs_dim))
+        self._tail_size = 0
+        self._tail_cursor = 0
 
     def __len__(self) -> int:
         return self._size
@@ -197,9 +214,19 @@ class ReplayBuffer:
     def add(self, transition: Transition) -> None:
         i = self._cursor
         self._obs[i] = transition.state
+        if self._size:
+            # Bytes, not values, so that -0.0 and NaN payloads stay exact.
+            newest = int(self._slot[i - 1])
+            if self._obs[i].tobytes() == self._tail[newest].tobytes():
+                self._slot[i - 1] = -1.0
+                self._tail_cursor = newest
+        slot = self._tail_cursor
+        self._tail[slot] = transition.next_state
+        self._slot[i] = slot
+        self._tail_cursor = (slot + 1) % self.capacity
+        self._tail_size = max(self._tail_size, slot + 1)
         self._action[i] = transition.action
         self._reward[i] = transition.reward
-        self._next_obs[i] = transition.next_state
         self._done[i] = transition.done
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -208,11 +235,15 @@ class ReplayBuffer:
         if self._size < 1:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
+        next_obs = self._obs[(idx + 1) % self.capacity]
+        slot = self._slot[idx]
+        held = np.flatnonzero(slot >= 0.0)
+        next_obs[held] = self._tail[slot[held].astype(np.intp)]
         return Batch(
             obs=self._obs[idx],
             action=self._action[idx],
             reward=self._reward[idx],
-            next_obs=self._next_obs[idx],
+            next_obs=next_obs,
             done=self._done[idx],
         )
 
@@ -513,25 +544,27 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    # A checkpoint (format v2) is the table of ``checkpoint_table`` plus a
+    # A checkpoint (format v3) is the table of ``checkpoint_table`` plus a
     # JSON ``meta`` entry with the scalars, whose floats round-trip exactly.
-    # ``save`` writes the table; ``load`` copies each entry of the file into
-    # the same table of a zero-filled trainer.
+    # ``save`` writes the table; ``load`` reads each entry of the file
+    # straight into the same table of a zero-filled trainer.
     def _adam(self):
         agent = self.agent
         return (("policy", agent.opt_policy), ("q1", agent.opt_q1), ("q2", agent.opt_q2))
 
     def checkpoint_table(self) -> Dict[str, np.ndarray]:
         """Checkpoint entry name -> the live array it saves and restores:
-        each network and Adam moment whole, and the buffer's filled rows."""
+        each network and Adam moment whole, the buffer's filled rows and
+        the tail rows in use."""
         critics, buf = self.agent.critics, self.buffer
         table = {"policy": self.agent.policy.params.flat, "q1": critics.q1.flat, "q2": critics.q2.flat,
                  "target_q1": critics.target_q1.flat, "target_q2": critics.target_q2.flat}
         for name, opt in self._adam():
             table[f"adam.{name}.m"] = opt.m.flat
             table[f"adam.{name}.v"] = opt.v.flat
-        for name in ("obs", "action", "reward", "next_obs", "done"):
+        for name in ("obs", "action", "reward", "done", "slot"):
             table[f"buffer.{name}"] = getattr(buf, f"_{name}")[: len(buf)]
+        table["buffer.tail"] = buf._tail[: buf._tail_size]
         return table
 
     def save(self, path) -> None:
@@ -549,8 +582,11 @@ class Trainer:
             "target_entropy": temperature.target_entropy,
             "adam_steps": {name: opt.t for name, opt in self._adam()},
             "adam_alpha": asdict(self.agent.opt_alpha),
+            "buffer_capacity": buf.capacity,
             "buffer_size": len(buf),
             "buffer_cursor": buf._cursor,
+            "buffer_tail_size": buf._tail_size,
+            "buffer_tail_cursor": buf._tail_cursor,
             "rng_act": self.rng_act.bit_generator.state,
             "rng_learn": self.rng_learn.bit_generator.state,
         }
@@ -566,6 +602,12 @@ class Trainer:
                          Temperature(0.0, 0.0), config)
         trainer = cls(env, config, agent)
         cls._read(path, env, lambda meta: trainer._restore(path, meta))
+        buf = trainer.buffer
+        slot = buf._slot[: len(buf)]
+        if len(buf) and not (np.all((slot == np.floor(slot)) & (slot >= -1.0) & (slot < buf._tail_size))
+                             and slot[buf._cursor - 1] >= 0.0):
+            raise ValueError(f"{path}: buffer.slot: a slot is neither -1 nor a tail row below "
+                             f"buffer_tail_size {buf._tail_size}, or the newest row has none")
         return trainer
 
     def _restore(self, path, meta: Dict) -> Dict[str, np.ndarray]:
@@ -574,10 +616,8 @@ class Trainer:
             raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
                              f"the run asks for seed {self.config.seed}")
         buf = self.buffer
-        if meta["buffer_size"] > buf.capacity:
-            raise ValueError(f"{path}: saved buffer holds {meta['buffer_size']} transitions, more than "
-                             f"its capacity of {buf.capacity} (buffer_capacity)")
-        buf._size, buf._cursor = meta["buffer_size"], meta["buffer_cursor"]
+        buf._size, buf._cursor = _ring(path, meta, "buffer", "transitions", buf.capacity)
+        buf._tail_size, buf._tail_cursor = _ring(path, meta, "buffer_tail", "tail rows", buf.capacity)
         temperature = self.agent.temperature
         temperature.log_alpha = float(meta["log_alpha"])
         temperature.target_entropy = float(meta["target_entropy"])
@@ -591,7 +631,8 @@ class Trainer:
 
     @staticmethod
     def load_policy(path, env) -> PolicyNet:
-        """Just the policy of the checkpoint at ``path``, for evaluation in ``env``."""
+        """Just the policy of the checkpoint at ``path``, for evaluation in
+        ``env``; no other entry of the file is read."""
         policy = PolicyNet(DenseParams.zeros(layer_sizes(env.observation_dim, env.action_dim)[0]),
                            env.action_dim)
         Trainer._read(path, env, lambda meta: {"policy": policy.params.flat})
@@ -599,13 +640,15 @@ class Trainer:
 
     @staticmethod
     def _read(path, env, restore: Callable[[Dict], Dict[str, np.ndarray]]) -> None:
-        """The one check and copy of a checkpoint read: reject a file of
-        another format or of other network widths than ``env`` needs, hand
-        its meta to ``restore``, which returns the table to fill, and copy
-        each entry into that table, rejecting one that is missing or of
-        another shape."""
-        arrays = neural.load_arrays(path)
-        meta = _json_from_array(arrays["meta"])
+        """The one check and read of a checkpoint: reject a file of another
+        format or of other network widths than ``env`` needs, hand its meta
+        to ``restore``, which returns the table to fill, and read each entry
+        of that table straight into it, rejecting one that is missing or of
+        another shape.  Entries outside the table are not read."""
+        meta = neural.load_arrays(path, {"meta": None}).get("meta")
+        if meta is None:
+            raise ValueError(f"{path}: meta: entry missing")
+        meta = _json_from_array(meta)
         version = meta.get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint format v{version}, "
@@ -617,12 +660,32 @@ class Trainer:
                 f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
                 f"fix the --tactile flag or the checkpoint"
             )
-        for name, dst in restore(meta).items():
-            if name not in arrays:
+        table = restore(meta)
+        found = neural.load_arrays(path, table)
+        for name in table:
+            if name not in found:
                 raise ValueError(f"{path}: {name}: entry missing")
-            if arrays[name].shape != dst.shape:
-                raise ValueError(f"{path}: {name}: shape {arrays[name].shape}, expected {dst.shape}")
-            dst[...] = arrays[name]
+
+
+def _ring(path, meta: Dict, field: str, rows: str, capacity: int) -> Tuple[int, int]:
+    """The saved ``<field>_size`` and ``<field>_cursor`` of a ring, checked to
+    describe a ring of the saved ``buffer_capacity`` and to fit one of
+    ``capacity`` rows, with the cursor taken mod ``capacity``.  Only a ring
+    that never wrapped, whose rows run from 0 to its cursor, loads into
+    another capacity."""
+    saved = meta["buffer_capacity"]
+    size, cursor = meta[f"{field}_size"], meta[f"{field}_cursor"]
+    capacities = f"(saved with buffer_capacity {saved}, the run has buffer_capacity {capacity})"
+    if not (0 <= size <= saved and 0 <= cursor < saved and (cursor == size or size == saved)):
+        raise ValueError(f"{path}: {field}_cursor {cursor} with {field}_size {size} is no state "
+                         f"of a ring of {saved} rows {capacities}")
+    if size > capacity:
+        raise ValueError(f"{path}: saved buffer holds {size} {rows}, more than its capacity of "
+                         f"{capacity} (buffer_capacity)")
+    if cursor != size and saved != capacity:
+        raise ValueError(f"{path}: {field}_cursor {cursor}: the saved ring has wrapped, so it loads "
+                         f"only into its own capacity {capacities}")
+    return size, cursor % capacity
 
 
 def _json_to_array(obj) -> np.ndarray:

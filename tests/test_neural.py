@@ -303,6 +303,31 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, rng):
         neural.load_arrays(path)
 
 
+def test_load_arrays_reads_only_the_named_entries(tmp_path, rng):
+    path = saved_checkpoint(tmp_path, rng)
+    everything = neural.load_arrays(path)
+    dst = np.zeros(7)
+    got = neural.load_arrays(path, {"a.b0": dst, "a.scale": None, "absent": None})
+    assert sorted(got) == ["a.b0", "a.scale"]
+    assert got["a.b0"] is dst and dst.tobytes() == everything["a.b0"].tobytes()
+    assert got["a.scale"].shape == () and got["a.scale"].tobytes() == everything["a.scale"].tobytes()
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a.w0: shape \(7, 3\), expected \(3, 7\)"):
+        neural.load_arrays(path, {"a.w0": np.zeros((3, 7))})
+
+
+def test_partial_read_still_rejects_truncated_and_padded_files(tmp_path, rng):
+    # The entries after the one asked for are checked against the file
+    # size although they are not read.
+    path = saved_checkpoint(tmp_path, rng)
+    data = path.read_bytes()
+    path.write_bytes(data[:-13])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a.w0: truncated"):
+        neural.load_arrays(path, {"a.b0": None})
+    path.write_bytes(data + bytes(8))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 8 bytes after the last entry"):
+        neural.load_arrays(path, {"a.b0": None})
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, rng):
     path = saved_checkpoint(tmp_path, rng)
     before = neural.load_arrays(path)

@@ -1,11 +1,12 @@
 import math
 import re
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from softcap import neural, sac
+from softcap import harness, neural, sac
 from softcap.env import SoftCaptureEnv, table_row
 from softcap.neural import DenseParams
 from softcap.sac import (
@@ -532,12 +533,22 @@ def load_buffer(path, capacity):
                         small_train_config(episodes=0, buffer_capacity=capacity)).buffer
 
 
+BUFFER_ROWS = ("_obs", "_action", "_reward", "_done", "_slot")
+
+
 def test_buffer_checkpoint_round_trip(tmp_path):
     path, buf = saved_buffer(tmp_path, capacity=8, n=11)
     restored = load_buffer(path, capacity=8)
     assert len(restored) == len(buf)
     assert restored._cursor == buf._cursor == 3
-    assert np.array_equal(restored._obs[: len(buf)], buf._obs[: len(buf)])
+    # No transition continues the one before, so every row keeps a tail
+    # slot and the tail ring has wrapped as the main one has.
+    assert (restored._tail_size, restored._tail_cursor) == (buf._tail_size, buf._tail_cursor) == (8, 3)
+    for name in BUFFER_ROWS:
+        assert np.array_equal(getattr(restored, name)[: len(buf)], getattr(buf, name)[: len(buf)]), name
+    assert np.array_equal(restored._tail[:8], buf._tail[:8])
+    a, b = (r.sample(np.random.default_rng(3), 64) for r in (buf, restored))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def test_buffer_restore_into_smaller_capacity_rejected(tmp_path):
@@ -549,11 +560,186 @@ def test_buffer_restore_into_smaller_capacity_rejected(tmp_path):
 def test_buffer_restore_then_add_keeps_storage(tmp_path):
     path, buf = saved_buffer(tmp_path, capacity=100, n=40)
     restored = load_buffer(path, capacity=100)
-    storage = restored._obs
+    storage = [getattr(restored, name) for name in (*BUFFER_ROWS, "_tail")]
     restored.add(fill_transition(40, buf.obs_dim, buf.action_dim))
-    assert restored._obs is storage
+    assert all(getattr(restored, name) is a for name, a in zip((*BUFFER_ROWS, "_tail"), storage))
     assert len(restored) == 41
     assert np.array_equal(restored._reward[:41], np.arange(41.0))
+    assert np.array_equal(restored._slot[:41], np.arange(41.0))
+    assert (restored._tail_size, restored._tail_cursor) == (41, 41)
+    assert np.array_equal(restored._tail[:41, 0], np.arange(41.0) + 0.5)
+
+
+def test_wrapped_buffer_refuses_larger_capacity(tmp_path):
+    # Resumed into 100 rows, the ring's next adds would overwrite valid rows
+    # 10-49 while rows 30-99, never written, joined the samples.
+    path, _ = saved_buffer(tmp_path, capacity=30, n=40)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: buffer_cursor 10: the saved ring "
+                                         r"has wrapped.*buffer_capacity 30, the run has buffer_capacity 100"):
+        load_buffer(path, capacity=100)
+
+
+def test_unwrapped_buffer_loads_into_any_capacity_it_fits(tmp_path):
+    path, buf = saved_buffer(tmp_path, capacity=30, n=20)
+    for capacity in (20, 100):
+        restored = load_buffer(path, capacity)
+        assert (len(restored), restored._cursor) == (20, 20 % capacity)
+        a, b = (r.sample(np.random.default_rng(5), 64) for r in (buf, restored))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        restored.add(fill_transition(20, buf.obs_dim, buf.action_dim))
+        kept = sorted(restored._reward[: len(restored)])
+        assert kept == list(range(1 if capacity == 20 else 0, 21))
+
+
+@pytest.mark.parametrize("n, field, value, message", [
+    (40, "buffer_cursor", 50, "buffer_cursor 50 with buffer_size 30"),
+    (25, "buffer_cursor", 3, "buffer_cursor 3 with buffer_size 25"),
+    (40, "buffer_tail_cursor", 30, "buffer_tail_cursor 30 with buffer_tail_size 30"),
+    (25, "buffer_tail_size", 31, "buffer_tail_cursor 25 with buffer_tail_size 31"),
+])
+def test_buffer_meta_out_of_range_rejected(tmp_path, n, field, value, message):
+    path, _ = saved_buffer(tmp_path, capacity=30, n=n)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", lambda arrays, meta: meta.update({field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message} is no state of a ring of 30 rows "
+                                         r"\(saved with buffer_capacity 30, the run has buffer_capacity 30\)"):
+        load_buffer(bad, capacity=30)
+
+
+@pytest.mark.parametrize("row, slot", [(5, 30.0), (5, -2.0), (5, 0.5), (5, float("nan")), (9, -1.0)])
+def test_buffer_slot_out_of_range_rejected(tmp_path, row, slot):
+    # Every one of the 40 transitions kept a tail slot; row 9 is the newest.
+    path, _ = saved_buffer(tmp_path, capacity=30, n=40)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt",
+                             lambda arrays, meta: arrays["buffer.slot"].__setitem__(row, slot))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: buffer.slot: .*buffer_tail_size 30"):
+        load_buffer(bad, capacity=30)
+
+
+class FiveArrayRing:
+    """The replay layout that stored ``obs`` and ``next_obs`` in every row:
+    the reference whose batches ``ReplayBuffer``'s must equal byte for byte."""
+
+    def __init__(self, capacity, obs_dim, action_dim):
+        self.capacity, self.size, self.cursor = capacity, 0, 0
+        self.arrays = [np.zeros((capacity, obs_dim)), np.zeros((capacity, action_dim)),
+                       np.zeros(capacity), np.zeros((capacity, obs_dim)), np.zeros(capacity)]
+
+    def add(self, transition):
+        for array, value in zip(self.arrays, transition):
+            array[self.cursor] = value
+        self.cursor = (self.cursor + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, rng, batch_size):
+        idx = rng.integers(0, self.size, size=batch_size)
+        return Batch(*(array[idx] for array in self.arrays))
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8_0000_0000_0000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def episode_stream(rng, episodes, length, obs_dim=4, action_dim=2):
+    """(transition, is last of its episode) for ``episodes`` episodes of
+    ``length`` steps, each state the previous step's next state.  Element 0
+    of every observation is +0.0 or -0.0 and element 1 a NaN with some
+    payload.  An episode starts from a fresh state, from the last episode's
+    final state bit for bit, or from that state with the sign of its zero or
+    the payload of its NaN changed, which must not count as the same state."""
+
+    def fresh():
+        obs = rng.standard_normal(obs_dim)
+        obs[0] = rng.choice([0.0, -0.0])
+        obs[1] = nan_with_payload(int(rng.integers(1, 4)))
+        return obs
+
+    final = None
+    for _ in range(episodes):
+        start = 0 if final is None else int(rng.integers(4))
+        state = fresh() if start == 0 else final.copy()
+        if start == 2:
+            state[0] = -state[0]
+        elif start == 3:
+            state[1] = nan_with_payload(4)
+        for t in range(length):
+            next_state = fresh()
+            yield Transition(state, rng.uniform(-1.0, 1.0, action_dim), float(rng.standard_normal()),
+                             next_state, float(t == length - 1)), t == length - 1
+            state = next_state
+        final = state
+
+
+@pytest.mark.parametrize("capacity", range(1, 8))
+def test_buffer_batches_equal_five_array_reference(capacity):
+    wraps_at_episode_end = 0
+    for length in (1, 2, 3):
+        for seed in range(50):
+            rng = np.random.default_rng((capacity, length, seed))
+            buf, ref = ReplayBuffer(capacity, 4, 2), FiveArrayRing(capacity, 4, 2)
+            for transition, last in episode_stream(rng, 12, length):
+                buf.add(transition)
+                ref.add(transition)
+                wraps_at_episode_end += last and buf._cursor == 0
+                draw = int(rng.integers(1 << 32))
+                got = buf.sample(np.random.default_rng(draw), 8)
+                want = ref.sample(np.random.default_rng(draw), 8)
+                for name, x, y in zip(Batch._fields, got, want):
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                        (capacity, length, seed, name)
+    assert wraps_at_episode_end > 0
+
+
+def test_buffer_tail_holds_one_row_per_episode():
+    episodes, length = 5, small_env_config().episode_length
+    trainer = Trainer(SoftCaptureEnv(small_env_config()),
+                      small_train_config(episodes=episodes, warmup_steps=10_000))
+    list(trainer.run())
+    buf = trainer.buffer
+    assert len(buf) == episodes * length
+    # Within an episode each state continues the one before; only each
+    # episode's last transition keeps its next state in the tail.
+    assert list(np.flatnonzero(buf._slot[: len(buf)] >= 0)) == [length * (k + 1) - 1 for k in range(episodes)]
+    assert buf._tail_size <= episodes + 1
+    assert trainer.checkpoint_table()["buffer.tail"].shape == (buf._tail_size, buf.obs_dim)
+
+
+def test_small_buffer_resume_metrics_byte_identical(tmp_path):
+    # A 50-row buffer under 40-step episodes wraps before the checkpoint.
+    def config(out, episodes, checkpoint=None):
+        overrides = {"seed": 2, "out_dir": str(out), "episodes": episodes, "checkpoint_every": 100,
+                     "env": {"episode_length": 40, "success_streak_length": 20},
+                     "train": {"batch_size": 32, "warmup_steps": 60, "buffer_capacity": 50}}
+        if checkpoint is not None:
+            overrides["checkpoint"] = str(checkpoint)
+        return harness.load_config("train", None, overrides)
+
+    assert harness.run_train(config(tmp_path / "straight", 5)) == 0
+    assert harness.run_train(config(tmp_path / "resumed", 3)) == 0
+    middle = tmp_path / "resumed" / "checkpoint_final.ckpt"
+    meta = sac._json_from_array(neural.load_arrays(middle, {"meta": None})["meta"])
+    assert (meta["buffer_size"], meta["buffer_cursor"], meta["buffer_tail_size"]) == (50, 20, 3)
+    assert harness.run_train(config(tmp_path / "resumed", 5, middle)) == 0
+    assert (tmp_path / "straight" / "metrics.csv").read_bytes() == (
+        tmp_path / "resumed" / "metrics.csv").read_bytes()
+
+
+def test_load_policy_reads_only_meta_and_policy(tmp_path):
+    env = SoftCaptureEnv(small_env_config())
+    trainer = Trainer(env, small_train_config(episodes=0, buffer_capacity=10_000))
+    for i in range(10_000):
+        trainer.buffer.add(fill_transition(i, env.observation_dim, env.action_dim))
+    path = tmp_path / "big.ckpt"
+    trainer.save(path)
+    policy_bytes = trainer.agent.policy.params.flat.nbytes
+    assert path.stat().st_size > 10 * policy_bytes
+    tracemalloc.start()
+    try:
+        policy = Trainer.load_policy(path, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * policy_bytes
+    assert np.array_equal(policy.params.flat, trainer.agent.policy.params.flat)
 
 
 # ---------------------------------------------------------------- training loop
@@ -699,7 +885,8 @@ def rewrite_checkpoint(path, out, change):
 # Each case: how the file is changed, the error after its path, and whether
 # the policy reader, which reads only the meta and the policy, rejects it too.
 @pytest.mark.parametrize("change, message, policy_reader_rejects", [
-    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v2", True),
+    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v3", True),
+    (lambda arrays, meta: meta.update(version=2), "checkpoint format v2, this program reads v3", True),
     (lambda arrays, meta: arrays.pop("policy"), "policy: entry missing", True),
     (lambda arrays, meta: arrays.pop("adam.q2.v"), "adam.q2.v: entry missing", False),
     (lambda arrays, meta: arrays.update(target_q1=arrays["target_q1"][:-1]),
