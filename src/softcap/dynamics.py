@@ -11,16 +11,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spatial import (
-    Contact,
-    ConvexRegion,
-    Obb,
-    Pose,
-    quat_mul,
-    quat_normalize,
-    quat_to_matrix,
-    spheres_obb_query,
-)
+from . import spatial
+from .spatial import Contact, ConvexRegion, Obb, Pose, quat_mul, quat_normalize, quat_to_matrix
 
 # Contact solver defaults: fixed iteration count, Baumgarte velocity bias.
 SOLVER_PASSES = 10
@@ -59,6 +51,16 @@ class RigidBody:
         if (self.inertia_diag <= 0.0).any():
             raise ValueError("inertia components must be > 0")
 
+    @classmethod
+    def from_valid(cls, pose: Pose, lin_vel: np.ndarray, ang_vel: np.ndarray,
+                   mass: float, inertia_diag: np.ndarray) -> "RigidBody":
+        """Body around float (3,) arrays, a mass and an inertia that already
+        passed these checks, taken as they are."""
+        body = cls.__new__(cls)
+        body.pose, body.lin_vel, body.ang_vel = pose, lin_vel, ang_vel
+        body.mass, body.inertia_diag = mass, inertia_diag
+        return body
+
     def angular_momentum_world(self) -> np.ndarray:
         rot = quat_to_matrix(self.pose.orientation)
         return rot @ (self.inertia_diag * self.ang_vel)
@@ -73,6 +75,8 @@ class GripperBody:
     and the precomputed finger enclosure region (all geometry body frame).
 
     ``ang_vel`` is world frame, matching how the observation reports it.
+    ``world_sphere_centers`` (n, 3) is derived from the pose when the
+    gripper is built; a gripper moves by building a new one.
     """
 
     pose: Pose
@@ -81,6 +85,7 @@ class GripperBody:
     sphere_centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     sphere_radii: np.ndarray = field(default_factory=lambda: np.zeros(0))
     finger_region: Optional[ConvexRegion] = None
+    world_sphere_centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lin_vel = np.asarray(self.lin_vel, dtype=float).reshape(3)
@@ -91,10 +96,8 @@ class GripperBody:
             raise ValueError("sphere centers and radii disagree in length")
         if (self.sphere_radii <= 0.0).any():
             raise ValueError("sphere radii must be > 0")
-
-    def world_sphere_centers(self) -> np.ndarray:
         rot = quat_to_matrix(self.pose.orientation)
-        return self.pose.position + self.sphere_centers @ rot.T
+        self.world_sphere_centers = self.pose.position + self.sphere_centers @ rot.T
 
     def velocity_at(self, point_world) -> np.ndarray:
         rx, ry, rz = (np.asarray(point_world, dtype=float) - self.pose.position).tolist()
@@ -200,8 +203,8 @@ def step_free_body(body: RigidBody, dt: float) -> RigidBody:
     y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
 
     pos = body.pose.position + body.lin_vel * dt
-    return RigidBody(Pose.from_unit(pos, quat_normalize(y[:4])), body.lin_vel,
-                     np.array(y[4:]), body.mass, body.inertia_diag)
+    return RigidBody.from_valid(Pose.from_unit(pos, quat_normalize(y[:4])), body.lin_vel,
+                                np.array(y[4:]), body.mass, body.inertia_diag)
 
 
 def apply_gripper_action(
@@ -249,9 +252,12 @@ def apply_gripper_action(
 
 
 def detect_contacts(g: GripperBody, target: Obb) -> List[Contact]:
-    """One contact per gripper sphere overlapping the target box."""
-    closest, signed, normals = spheres_obb_query(g.world_sphere_centers(), g.sphere_radii, target)
-    return [Contact(closest[i], normals[i], -float(signed[i])) for i in np.flatnonzero(signed < 0.0)]
+    """One contact per gripper sphere overlapping the target box: distances
+    for every sphere, contact geometry only for the spheres that overlap."""
+    centers, radii = g.world_sphere_centers, g.sphere_radii
+    signed = spatial.spheres_obb_query(centers, radii, target)
+    return [spatial.sphere_obb_query(centers[i], float(radii[i]), target).contact
+            for i in np.flatnonzero(signed < 0.0)]
 
 
 def resolve_contacts(
@@ -319,8 +325,8 @@ def resolve_contacts(
         residual = max(residual, bias - v_rel)
 
     total_impulse = sum(impulses)
-    resolved = RigidBody(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
-                         target.mass, target.inertia_diag)
+    resolved = RigidBody.from_valid(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
+                                    target.mass, target.inertia_diag)
     result = ContactResult(
         contacts=list(contacts),
         total_normal_impulse=total_impulse,
@@ -335,11 +341,11 @@ def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:
     """Component-wise |difference| of the globally closest point pair
     between the gripper sphere surfaces and the target box surface (the
     first sphere with the smallest signed distance)."""
-    centers = g.world_sphere_centers()
-    closest, signed, _ = spheres_obb_query(centers, g.sphere_radii, target)
-    best = int(np.argmin(signed))
+    centers, radii = g.world_sphere_centers, g.sphere_radii
+    best = int(np.argmin(spatial.spheres_obb_query(centers, radii, target)))
+    radius = float(radii[best])
     cx, cy, cz = centers[best].tolist()
-    qx, qy, qz = closest[best].tolist()
+    qx, qy, qz = spatial.sphere_obb_query(centers[best], radius, target).closest_point.tolist()
     ux, uy, uz = qx - cx, qy - cy, qz - cz
     d = math.sqrt(ux * ux + uy * uy + uz * uz)
     if d <= 1e-12:
@@ -347,7 +353,6 @@ def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:
         d = math.sqrt(ux * ux + uy * uy + uz * uz)
         if d <= 1e-12:
             ux, uy, uz, d = 1.0, 0.0, 0.0, 1.0
-    radius = float(g.sphere_radii[best])
     return np.array([abs(cx + radius * (ux / d) - qx),
                      abs(cy + radius * (uy / d) - qy),
                      abs(cz + radius * (uz / d) - qz)])

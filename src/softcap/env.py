@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dynamics, spatial
 from .dynamics import ActionLimits, GripperBody, RigidBody
+from .files import replacing
 from .spatial import ConvexRegion, Obb, Pose
 
 
@@ -244,7 +245,7 @@ class SoftCaptureEnv:
 
     @property
     def target_box(self) -> Obb:
-        return Obb(self.target.pose, self._half_extents)
+        return Obb.from_valid(self.target.pose, self._half_extents)
 
     @property
     def trace(self) -> List[TraceRecord]:
@@ -312,7 +313,7 @@ class SoftCaptureEnv:
         impulse_total = 0.0
         contact_count, max_depth, residual = 0, 0.0, 0.0
         for _ in range(cfg.physics_substeps):
-            box = Obb(self._target.pose, self._half_extents)
+            box = Obb.from_valid(self._target.pose, self._half_extents)
             contacts = dynamics.detect_contacts(self._gripper, box)
             if contacts:
                 self._target, result = dynamics.resolve_contacts(
@@ -413,17 +414,17 @@ class SoftCaptureEnv:
 
 # ----------------------------------------------------------------------
 # Output tables: comma-separated text with one header row.  A float cell is
-# its ``repr``, so it reads back to the same bits; a flag is ``1``/``0``
-# and a missing value is empty.  Every table the program writes goes
-# through ``table_row``, which must only receive Python floats (``repr`` of
-# a numpy scalar is ``np.float64(...)``).
+# the ``repr`` of its Python float, so it reads back to the same bits (a
+# numpy float64 is a float, but its own ``repr`` is ``np.float64(...)``);
+# a flag is ``1``/``0`` and a missing value is empty.  Every table the
+# program writes goes through ``table_row``.
 def table_row(values) -> List[str]:
-    return [repr(v) if isinstance(v, float) else "" if v is None
+    return [repr(float(v)) if isinstance(v, float) else "" if v is None
             else ("1" if v else "0") if isinstance(v, bool) else str(v) for v in values]
 
 
 def write_table(path, columns: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(table_row(row) for row in rows)

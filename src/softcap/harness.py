@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
                   read_trace_csv, table_row, write_table, write_trace_csv)
+from .files import replacing
 from .sac import EpisodeMetrics, TrainConfig, Trainer, deterministic_action, episode_seed
 
 _EVAL_STREAM = 4
@@ -172,7 +173,7 @@ def _now() -> str:
 
 
 def _write_json(path: Path, obj: Dict) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -238,11 +239,11 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     returns = [float(r[header.index("episode_return")]) for r in kept_rows]
     successes = [int(r[header.index("success")]) for r in kept_rows]
 
-    with open(metrics_path, "w", newline="") as fh:
+    # The kept rows replace the old file whole, so a crash never leaves it
+    # without them; the new episodes are then appended.
+    write_table(metrics_path, columns, kept_rows)
+    with open(metrics_path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(kept_rows)
-        fh.flush()
         for metrics in trainer.run():
             writer.writerow(table_row(astuple(metrics)))
             fh.flush()

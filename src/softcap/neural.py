@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .files import replacing
+
 
 def param_count(sizes: Sequence[int]) -> int:
     """Number of weights and biases in a dense stack with these layer widths."""
@@ -287,29 +289,21 @@ _VERSION = 1
 
 
 def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` to ``path`` by way of ``<path>.tmp``, which replaces
-    ``path`` only once complete, so a save that fails part-way leaves any
-    previous file at ``path`` as it was."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, len(arrays)))
-            for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype="<f8")
-                if not arr.flags.c_contiguous:
-                    arr = arr.copy()
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """Write ``arrays`` to ``path`` through ``files.replacing``, so a save
+    that fails part-way leaves any previous file at ``path`` as it was."""
+    with replacing(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(arrays)))
+        for name in sorted(arrays):
+            arr = np.asarray(arrays[name], dtype="<f8")
+            if not arr.flags.c_contiguous:
+                arr = arr.copy()
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_arrays(path, into: Optional[Dict[str, Optional[np.ndarray]]] = None) -> Dict[str, np.ndarray]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -228,6 +228,15 @@ class Obb:
         if (self.half_extents <= 0.0).any():
             raise ValueError("box half extents must be strictly positive")
 
+    @classmethod
+    def from_valid(cls, pose: Pose, half_extents: np.ndarray) -> "Obb":
+        """Box around float (3,) half extents that already passed these
+        checks, taken as they are."""
+        box = cls.__new__(cls)
+        box.pose = pose
+        box.half_extents = half_extents
+        return box
+
     def corners(self) -> np.ndarray:
         """The 8 world-frame corner points, shape (8, 3)."""
         signs = np.array(
@@ -315,14 +324,10 @@ def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     return SphereQuery(closest_point=closest_world, signed_distance=signed, contact=contact)
 
 
-def spheres_obb_query(centers, radii, box: Obb) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``sphere_obb_query`` over n spheres at once.
-
-    Returns the closest box points (n, 3), the signed distances (n,) and
-    the world normals (n, 3), each row equal to what ``sphere_obb_query``
-    gives for that sphere.  A normal is returned for every sphere, in
-    contact or not, with the same convention as the contact normal.
-    """
+def spheres_obb_query(centers, radii, box: Obb) -> np.ndarray:
+    """Signed distances (n,) of n spheres to an oriented box, each equal to
+    what ``sphere_obb_query`` gives for that sphere.  Callers take a kept
+    sphere's contact or closest point from ``sphere_obb_query``."""
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if (radii <= 0.0).any():
         raise ValueError("sphere radius must be > 0")
@@ -330,20 +335,6 @@ def spheres_obb_query(centers, radii, box: Obb) -> Tuple[np.ndarray, np.ndarray,
     h = box.half_extents
     d = np.asarray(centers, dtype=float).reshape(-1, 3) - box.pose.position
     local = (d[:, :, None] * rot).sum(axis=1)  # rot.T @ d, row by row
-    clamped = np.minimum(np.maximum(local, -h), h)
-    delta = local - clamped
+    delta = local - np.minimum(np.maximum(local, -h), h)
     dist = np.sqrt((delta * delta).sum(axis=1))
-    outside = dist > _QUAT_EPS
-    signed = np.where(outside, dist - radii, -radii)
-    # Inside (or on the surface) the normal aims from the center at the box
-    # center, and along -x when the two coincide.
-    toward = np.where(outside[:, None], delta, local)
-    length = np.where(outside, dist, np.sqrt((local * local).sum(axis=1)))
-    degenerate = length <= _QUAT_EPS
-    if degenerate.any():
-        length[degenerate] = 1.0
-        toward[degenerate] = (1.0, 0.0, 0.0)
-    normal_local = -toward / length[:, None]
-    closest = box.pose.position + (clamped[:, None, :] * rot).sum(axis=2)
-    normals = (normal_local[:, None, :] * rot).sum(axis=2)
-    return closest, signed, normals
+    return np.where(dist > _QUAT_EPS, dist - radii, -radii)

@@ -180,14 +180,14 @@ def test_detect_contacts_matches_per_sphere_queries(rng):
     g = build_open_gripper(Pose([0.0, 0.0, 0.0]))
     contacts = detect_contacts(g, box)
     expected = []
-    for center, radius in zip(g.world_sphere_centers(), g.sphere_radii):
+    for center, radius in zip(g.world_sphere_centers, g.sphere_radii):
         q = sphere_obb_query(center, float(radius), box)
         if q.signed_distance < 0:
             expected.append(q.contact)
     assert len(contacts) == len(expected) > 0
     for got, exp in zip(contacts, expected):
-        assert np.allclose(got.point, exp.point)
-        assert np.allclose(got.normal, exp.normal)
+        assert np.array_equal(got.point, exp.point)
+        assert np.array_equal(got.normal, exp.normal)
         assert got.depth == exp.depth
 
 

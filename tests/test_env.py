@@ -301,7 +301,7 @@ def test_observation_min_distance_block_known_configuration():
     pts[np.arange(len(pts)), axis] = sign * h[axis]
     world = box.pose.position + pts @ spatial.quat_to_matrix(box.pose.orientation).T
     best = (None, None, np.inf)
-    for center, radius in zip(g.world_sphere_centers(), g.sphere_radii):
+    for center, radius in zip(g.world_sphere_centers, g.sphere_radii):
         d = np.linalg.norm(world - center, axis=1)
         i = int(np.argmin(d))
         gap = d[i] - radius
@@ -399,6 +399,71 @@ def test_step_reports_contact_solver_health():
     assert touched > 0
 
 
+def _reference_detect_contacts(g, box):
+    # Every sphere through the scalar query, centers taken from the pose.
+    centers = g.pose.position + g.sphere_centers @ spatial.quat_to_matrix(g.pose.orientation).T
+    queries = [spatial.sphere_obb_query(c, float(r), box) for c, r in zip(centers, g.sphere_radii)]
+    return [q.contact for q in queries if q.signed_distance < 0.0]
+
+
+def _reference_closest_pair_per_axis(g, box):
+    centers = g.pose.position + g.sphere_centers @ spatial.quat_to_matrix(g.pose.orientation).T
+    queries = [spatial.sphere_obb_query(c, float(r), box) for c, r in zip(centers, g.sphere_radii)]
+    best = min(range(len(queries)), key=lambda i: queries[i].signed_distance)
+    center, closest = centers[best].tolist(), queries[best].closest_point.tolist()
+    u = [q - c for q, c in zip(closest, center)]
+    d = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    if d <= 1e-12:
+        u = [p - c for p, c in zip(box.pose.position.tolist(), center)]
+        d = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+        if d <= 1e-12:
+            u, d = [1.0, 0.0, 0.0], 1.0
+    radius = float(g.sphere_radii[best])
+    return np.array([abs(c + radius * (ui / d) - q) for c, ui, q in zip(center, u, closest)])
+
+
+def test_env_step_matches_reference_substep_loop(monkeypatch):
+    # A pursuit controller on a target within reach keeps the fingers on
+    # the box.  The reference run swaps in per-sphere scalar queries and
+    # builds every body and box through the validating constructors.
+    cfg = EnvConfig(tactile_enabled=True, episode_length=30, success_streak_length=15,
+                    randomization=RandomizationSpec(target_position_low=(0.25, -0.03, -0.03),
+                                                    target_position_high=(0.35, 0.03, 0.03)))
+
+    def rollout():
+        env = SoftCaptureEnv(cfg)
+        arrays, values = [], []
+        for seed in (3, 4, 5, 6):
+            arrays.append(env.reset(seed))
+            for _ in range(cfg.episode_length):
+                g, t = env.gripper, env.target
+                d = t.pose.position - g.pose.position
+                move = t.lin_vel * cfg.control_dt + 0.5 * d * (1.0 - 0.10 / max(np.linalg.norm(d), 1e-9))
+                local = spatial.quat_to_matrix(g.pose.orientation).T @ move
+                action = np.zeros(6)
+                action[:3] = np.clip(local / cfg.action_limits.max_translation_step, -1.0, 1.0)
+                r = env.step(action)
+                arrays.append(r.obs)
+                values.append((r.reward, r.terms, r.info))
+            for rec in env.trace:
+                arrays += [rec.gripper_pose.position, rec.gripper_pose.orientation,
+                           rec.target_pose.position, rec.target_pose.orientation]
+        return arrays, values
+
+    fast_arrays, fast_values = rollout()
+    monkeypatch.setattr(dynamics, "detect_contacts", _reference_detect_contacts)
+    monkeypatch.setattr(dynamics, "closest_pair_per_axis", _reference_closest_pair_per_axis)
+    monkeypatch.setattr(dynamics.RigidBody, "from_valid", classmethod(lambda cls, *a: cls(*a)))
+    monkeypatch.setattr(Obb, "from_valid", classmethod(lambda cls, *a: cls(*a)))
+    ref_arrays, ref_values = rollout()
+
+    assert len(fast_arrays) == len(ref_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(fast_arrays, ref_arrays))
+    assert fast_values == ref_values
+    contact_steps = sum(info["contact_count"] > 0 for _, _, info in fast_values)
+    assert contact_steps >= 0.3 * len(fast_values)
+
+
 def test_success_streak_info_counts():
     env = SoftCaptureEnv(quiet_config())
     env.reset(seed=0)
@@ -435,15 +500,17 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_table_row_round_trips_every_cell_kind(tmp_path):
-    floats = [float("nan"), float("inf"), -0.0, 5e-324, 0.1]
+    floats = [float("nan"), float("inf"), -0.0, 5e-324, 0.1, np.float64(0.1) + np.float64(0.2)]
     path = tmp_path / "table.csv"
-    write_table(path, ["f0", "f1", "f2", "f3", "f4", "n", "t", "f", "none", "s"],
+    write_table(path, ["f0", "f1", "f2", "f3", "f4", "f5", "n", "t", "f", "none", "s"],
                 [[*floats, 2**70, True, False, None, 'a,"b"']])
     with open(path, newline="") as fh:
         header, row = csv.reader(fh)
-    assert len(header) == len(row) == 10
-    assert [struct.pack("<d", float(v)) for v in row[:5]] == [struct.pack("<d", v) for v in floats]
-    assert row[5:] == [str(2**70), "1", "0", "", 'a,"b"']
+    assert len(header) == len(row) == 11
+    assert [struct.pack("<d", float(v)) for v in row[:6]] == [struct.pack("<d", v) for v in floats]
+    assert row[6:] == [str(2**70), "1", "0", "", 'a,"b"']
+    write_table(path, ["x"], [[floats[5]]])
+    assert read_trace_csv(path) == (["x"], [[floats[5]]])
 
 
 def test_trace_parse_error_carries_line_number(tmp_path):

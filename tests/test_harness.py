@@ -140,6 +140,40 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     ).read_bytes()
 
 
+def test_failed_writes_keep_previous_files(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_train(make_config("train", out, episodes=3, seed=5, checkpoint_every=2)) == 0
+    metrics = (out / "metrics.csv").read_bytes()
+
+    # A resume whose rewrite of the kept rows fails after the first row.
+    real_writer = csv.writer
+
+    def failing_writer(fh, *args, **kwargs):
+        writer = real_writer(fh, *args, **kwargs)
+
+        class Failing:
+            writerow = writer.writerow
+
+            def writerows(self, rows):
+                writer.writerow(next(iter(rows)))
+                fh.flush()
+                raise OSError("disk full")
+        return Failing()
+
+    with monkeypatch.context() as m:
+        m.setattr(csv, "writer", failing_writer)
+        resumed = make_config("train", out, episodes=3, seed=5, checkpoint=str(out / "checkpoint_ep000002.ckpt"))
+        assert run_train(resumed) == 1
+    assert (out / "metrics.csv").read_bytes() == metrics
+
+    manifest = (out / "run_manifest.json").read_bytes()
+    assert json.loads(manifest)["error"] == "OSError: disk full"
+    with pytest.raises(TypeError):
+        harness._write_json(out / "run_manifest.json", {"a": 1.0, "b": object()})
+    assert (out / "run_manifest.json").read_bytes() == manifest
+    assert not list(out.glob("*.tmp"))
+
+
 def test_unwritable_output_dir_fails_cleanly(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where a directory must go")

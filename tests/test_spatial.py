@@ -318,14 +318,10 @@ def test_spheres_obb_query_equals_scalar_query(rng):
 
     inside = surface = 0
     for box, centers, radii in cases:
-        closest, signed, normals = spheres_obb_query(centers, radii, box)
-        assert closest.shape == normals.shape == (len(radii), 3) and signed.shape == (len(radii),)
+        signed = spheres_obb_query(centers, radii, box)
+        assert signed.shape == (len(radii),)
         for i, (center, radius) in enumerate(zip(centers, radii)):
-            q = sphere_obb_query(center, float(radius), box)
-            assert np.array_equal(closest[i], q.closest_point)
-            assert signed[i] == q.signed_distance
-            if q.contact is not None:
-                assert np.array_equal(normals[i], q.contact.normal)
+            assert signed[i] == sphere_obb_query(center, float(radius), box).signed_distance
             local = quat_to_matrix(box.pose.orientation).T @ (center - box.pose.position)
             inside += bool(np.all(np.abs(local) < box.half_extents))
             surface += bool(np.all(np.abs(local) <= box.half_extents)
