@@ -223,21 +223,25 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
         trainer = Trainer(env, cfg.train)
 
     metrics_path = out / "metrics.csv"
-    header = columns = [f.name for f in fields(EpisodeMetrics)]
+    columns = [f.name for f in fields(EpisodeMetrics)]
     # A resumed run keeps the rows of the episodes its checkpoint holds,
-    # written back as read.  Resumed into a directory without them, its
-    # table and summary cover only the episodes it runs.
+    # written back as read, so the table it keeps must have this run's
+    # columns.  Resumed into a directory without them, its table and
+    # summary cover only the episodes it runs.
     kept_rows: List[List[str]] = []
     if trainer.episode > 0 and metrics_path.exists():
         with open(metrics_path, newline="") as fh:
-            header, *old_rows = csv.reader(fh)
+            header, *old_rows = list(csv.reader(fh)) or [[]]
+        if header != columns:
+            raise ValueError(f"{metrics_path}: cannot resume into this table: its header is {header}, "
+                             f"this run writes {columns}")
         kept_rows = old_rows[: trainer.episode]
     if len(kept_rows) < trainer.episode:
         print(f"warning: {metrics_path} holds {len(kept_rows)} of the {trainer.episode} episodes "
               f"the checkpoint has run; the summary's means cover only the episodes in it",
               file=sys.stderr)
-    returns = [float(r[header.index("episode_return")]) for r in kept_rows]
-    successes = [int(r[header.index("success")]) for r in kept_rows]
+    returns = [float(r[columns.index("episode_return")]) for r in kept_rows]
+    successes = [int(r[columns.index("success")]) for r in kept_rows]
 
     # The kept rows replace the old file whole, so a crash never leaves it
     # without them; the new episodes are then appended.

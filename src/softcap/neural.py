@@ -1,12 +1,13 @@
 """Dense feedforward substrate for the learner: flat parameter vectors with
 per-layer views, ReLU MLP forward/backward passes into reusable workspaces,
-the in-place Adam update, and a small versioned binary container for
-checkpoint arrays.  Everything is float64 and hand-derived; no autodiff
-framework.
+the in-place Adam update, and the checkpoint container: named float64
+arrays behind one JSON header.  Everything is float64 and hand-derived; no
+autodiff framework.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -278,90 +279,91 @@ def adam_step(
 
 
 # ----------------------------------------------------------------------
-# Checkpoint container: named float64 arrays in a little-endian layout.
+# Checkpoint container (version 2): named float64 arrays behind one
+# length-prefixed JSON header, the layout of safetensors.
 #
-#   magic "SCPK" | u32 version | u32 entry count, then per entry:
-#   u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 data
+#   "SCPK" | u32 container version | u64 header length | header | data
 #
-# Round trips are bit exact.
+# The header is UTF-8 JSON with sorted keys and no spaces,
+# {"entries": [[name, shape], ...], "meta": <JSON value>}, its entries in
+# sorted name order; the data is each entry's little-endian float64 values
+# in that order.  So the header fixes the file's length.  Round trips are
+# bit exact.
 _MAGIC = b"SCPK"
-_VERSION = 1
+_VERSION = 2
+_PREFIX = struct.Struct("<4sIQ")
 
 
-def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` to ``path`` through ``files.replacing``, so a save
-    that fails part-way leaves any previous file at ``path`` as it was."""
+def save_arrays(path, arrays: Dict[str, np.ndarray], meta) -> None:
+    """Write ``arrays`` and the JSON value ``meta`` to ``path`` through
+    ``files.replacing``, so a save that fails part-way leaves any previous
+    file at ``path`` as it was."""
+    data = [(name, np.asarray(arrays[name], dtype="<f8", order="C")) for name in sorted(arrays)]
+    header = json.dumps({"entries": [[name, list(arr.shape)] for name, arr in data], "meta": meta},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     with replacing(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f8")
-            if not arr.flags.c_contiguous:
-                arr = arr.copy()
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        fh.write(header)
+        for _, arr in data:
+            fh.write(arr.data)
 
 
-def load_arrays(path, into: Optional[Dict[str, Optional[np.ndarray]]] = None) -> Dict[str, np.ndarray]:
-    """Read the entries of a checkpoint written by ``save_arrays``.
+def load_arrays(path, into: Optional[Dict[str, np.ndarray]] = None) -> Tuple[object, Dict[str, np.ndarray]]:
+    """Read a file written by ``save_arrays``: return its meta and entries.
 
     By default every entry is read into a new array.  With ``into``, only
-    the entries it names are read: each straight into the C-contiguous
-    float64 array it maps to, whose shape must match, or into a new array
-    where it maps to None; the others are skipped unread.  Returns the
-    entries read.  Every entry header is checked against the file size, so
-    a file cut short, or with bytes after its last entry, is rejected with
-    its path and the entry concerned.
+    the entries it names are read, each straight into the C-contiguous
+    float64 array it maps to, whose shape must match; ``into={}`` reads the
+    meta alone.  The header is checked against the file's length before any
+    entry is read, so a file cut short, or with bytes after its last entry,
+    is rejected with its path and the entry concerned.
     """
-    arrays: Dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        offset = 0
-
-        def take(n: int, entry: str) -> None:
-            nonlocal offset
-            if offset + n > size:
-                raise ValueError(f"{path}: {entry}: truncated, {n} bytes needed at offset "
-                                 f"{offset} but {size - offset} left")
-            offset += n
-
-        def read(n: int, entry: str) -> bytes:
-            take(n, entry)
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path}: file changed size while being read")
-            return data
-
-        header = fh.read(12)
-        if header[:4] != _MAGIC:
+        prefix = fh.read(_PREFIX.size)
+        if prefix[:4] != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        take(12, "header")
-        version, count = struct.unpack_from("<II", header, 4)
+        if len(prefix) < _PREFIX.size:
+            raise ValueError(f"{path}: header: truncated, {_PREFIX.size} bytes needed but {size} left")
+        _, version, header_len = _PREFIX.unpack(prefix)
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        for k in range(count):
-            entry = f"entry {k}"
-            (name_len,) = struct.unpack("<H", read(2, entry))
-            name = read(name_len, entry).decode("utf-8")
-            (ndim,) = struct.unpack("<B", read(1, name))
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, name))
+            raise ValueError(f"{path}: checkpoint container v{version}, this program reads v{_VERSION}")
+        offset = _PREFIX.size + header_len
+        if offset > size:
+            raise ValueError(f"{path}: header: truncated, {header_len} bytes needed at offset "
+                             f"{_PREFIX.size} but {size - _PREFIX.size} left")
+        try:
+            header = json.loads(fh.read(header_len))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header: not JSON ({exc})") from None
+        entries = header.get("entries") if isinstance(header, dict) else None
+        if not (isinstance(entries, list) and "meta" in header and all(
+                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+                for entry in entries)):
+            raise ValueError(f"{path}: header: not an object of a meta and [name, shape] entries, "
+                             f"each name a string and each shape a list of non-negative ints")
+        layout = {}
+        for name, shape in entries:
             nbytes = 8 * math.prod(shape)
-            take(nbytes, name)
-            if into is not None and name not in into:
-                fh.seek(nbytes, os.SEEK_CUR)
-                continue
-            dst = None if into is None else into[name]
-            if dst is None:
-                dst = np.empty(shape, dtype="<f8")
-            elif dst.shape != shape:
+            if offset + nbytes > size:
+                raise ValueError(f"{path}: {name}: truncated, {nbytes} bytes needed at offset "
+                                 f"{offset} but {size - offset} left")
+            layout[name] = (offset, tuple(shape))
+            offset += nbytes
+        if offset != size:
+            raise ValueError(f"{path}: {size - offset} bytes after the last entry")
+        if into is None:
+            into = {name: np.empty(shape, dtype="<f8") for name, (_, shape) in layout.items()}
+        absent = [name for name in into if name not in layout]
+        if absent:
+            raise ValueError(f"{path}: {absent[0]}: entry missing")
+        for name, dst in into.items():
+            at, shape = layout[name]
+            if dst.shape != shape:
                 raise ValueError(f"{path}: {name}: shape {shape}, expected {dst.shape}")
-            if fh.readinto(dst) != nbytes:
+            fh.seek(at)
+            if fh.readinto(dst) != dst.nbytes:
                 raise ValueError(f"{path}: file changed size while being read")
-            arrays[name] = dst
-    if offset != size:
-        raise ValueError(f"{path}: {size - offset} bytes after the last entry")
-    return arrays
+    return header["meta"], into
+

@@ -9,10 +9,9 @@ every ``train_freq`` environment steps, followed by soft target updates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -544,10 +543,11 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    # A checkpoint (format v3) is the table of ``checkpoint_table`` plus a
-    # JSON ``meta`` entry with the scalars, whose floats round-trip exactly.
-    # ``save`` writes the table; ``load`` reads each entry of the file
-    # straight into the same table of a zero-filled trainer.
+    # A checkpoint (format v4) is the ``neural.save_arrays`` container of the
+    # table of ``checkpoint_table``, with the scalars as the header's JSON
+    # meta, whose floats round-trip exactly.  ``save`` writes the table;
+    # ``load`` reads each entry of the file straight into the same table of
+    # a zero-filled trainer.
     def _adam(self):
         agent = self.agent
         return (("policy", agent.opt_policy), ("q1", agent.opt_q1), ("q2", agent.opt_q2))
@@ -590,19 +590,31 @@ class Trainer:
             "rng_act": self.rng_act.bit_generator.state,
             "rng_learn": self.rng_learn.bit_generator.state,
         }
-        neural.save_arrays(path, {**self.checkpoint_table(), "meta": _json_to_array(meta)})
+        neural.save_arrays(path, self.checkpoint_table(), meta)
 
     @classmethod
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
+        meta = _checked_meta(path, env)
+        if meta["seed"] != config.seed:
+            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
+                             f"the run asks for seed {config.seed}")
         policy_sizes, critic_sizes = layer_sizes(env.observation_dim, env.action_dim)
         zeros = DenseParams.zeros
         critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))
-        # The temperature, like every other scalar, is set from the meta.
-        agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics,
-                         Temperature(0.0, 0.0), config)
+        temperature = Temperature(float(meta["log_alpha"]), float(meta["target_entropy"]))
+        agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics, temperature, config)
+        agent.opt_alpha = _ScalarAdam(**meta["adam_alpha"])
         trainer = cls(env, config, agent)
-        cls._read(path, env, lambda meta: trainer._restore(path, meta))
         buf = trainer.buffer
+        buf._size, buf._cursor = _ring(path, meta, "buffer", "transitions", buf.capacity)
+        buf._tail_size, buf._tail_cursor = _ring(path, meta, "buffer_tail", "tail rows", buf.capacity)
+        for name, opt in trainer._adam():
+            opt.t = meta["adam_steps"][name]
+        trainer.episode, trainer.env_steps = meta["episode"], meta["env_steps"]
+        trainer.updates = meta["updates"]
+        trainer.rng_act.bit_generator.state = meta["rng_act"]
+        trainer.rng_learn.bit_generator.state = meta["rng_learn"]
+        neural.load_arrays(path, trainer.checkpoint_table())
         slot = buf._slot[: len(buf)]
         if len(buf) and not (np.all((slot == np.floor(slot)) & (slot >= -1.0) & (slot < buf._tail_size))
                              and slot[buf._cursor - 1] >= 0.0):
@@ -610,61 +622,33 @@ class Trainer:
                              f"buffer_tail_size {buf._tail_size}, or the newest row has none")
         return trainer
 
-    def _restore(self, path, meta: Dict) -> Dict[str, np.ndarray]:
-        """Set the scalars of ``meta``; return the table its entries fill."""
-        if meta["seed"] != self.config.seed:
-            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
-                             f"the run asks for seed {self.config.seed}")
-        buf = self.buffer
-        buf._size, buf._cursor = _ring(path, meta, "buffer", "transitions", buf.capacity)
-        buf._tail_size, buf._tail_cursor = _ring(path, meta, "buffer_tail", "tail rows", buf.capacity)
-        temperature = self.agent.temperature
-        temperature.log_alpha = float(meta["log_alpha"])
-        temperature.target_entropy = float(meta["target_entropy"])
-        for name, opt in self._adam():
-            opt.t = meta["adam_steps"][name]
-        self.agent.opt_alpha = _ScalarAdam(**meta["adam_alpha"])
-        self.episode, self.env_steps, self.updates = meta["episode"], meta["env_steps"], meta["updates"]
-        self.rng_act.bit_generator.state = meta["rng_act"]
-        self.rng_learn.bit_generator.state = meta["rng_learn"]
-        return self.checkpoint_table()
-
     @staticmethod
     def load_policy(path, env) -> PolicyNet:
         """Just the policy of the checkpoint at ``path``, for evaluation in
         ``env``; no other entry of the file is read."""
+        _checked_meta(path, env)
         policy = PolicyNet(DenseParams.zeros(layer_sizes(env.observation_dim, env.action_dim)[0]),
                            env.action_dim)
-        Trainer._read(path, env, lambda meta: {"policy": policy.params.flat})
+        neural.load_arrays(path, {"policy": policy.params.flat})
         return policy
 
-    @staticmethod
-    def _read(path, env, restore: Callable[[Dict], Dict[str, np.ndarray]]) -> None:
-        """The one check and read of a checkpoint: reject a file of another
-        format or of other network widths than ``env`` needs, hand its meta
-        to ``restore``, which returns the table to fill, and read each entry
-        of that table straight into it, rejecting one that is missing or of
-        another shape.  Entries outside the table are not read."""
-        meta = neural.load_arrays(path, {"meta": None}).get("meta")
-        if meta is None:
-            raise ValueError(f"{path}: meta: entry missing")
-        meta = _json_from_array(meta)
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: checkpoint format v{version}, "
-                             f"this program reads v{CHECKPOINT_VERSION}")
-        if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
-            raise ValueError(
-                f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
-                f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
-                f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
-                f"fix the --tactile flag or the checkpoint"
-            )
-        table = restore(meta)
-        found = neural.load_arrays(path, table)
-        for name in table:
-            if name not in found:
-                raise ValueError(f"{path}: {name}: entry missing")
+
+def _checked_meta(path, env) -> Dict:
+    """The meta of the checkpoint at ``path``, which must be of this format
+    and of the network widths ``env`` needs."""
+    meta, _ = neural.load_arrays(path, {})
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint format v{version}, "
+                         f"this program reads v{CHECKPOINT_VERSION}")
+    if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
+        raise ValueError(
+            f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
+            f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
+            f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
+            f"fix the --tactile flag or the checkpoint"
+        )
+    return meta
 
 
 def _ring(path, meta: Dict, field: str, rows: str, capacity: int) -> Tuple[int, int]:
@@ -686,12 +670,3 @@ def _ring(path, meta: Dict, field: str, rows: str, capacity: int) -> Tuple[int, 
         raise ValueError(f"{path}: {field}_cursor {cursor}: the saved ring has wrapped, so it loads "
                          f"only into its own capacity {capacities}")
     return size, cursor % capacity
-
-
-def _json_to_array(obj) -> np.ndarray:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(float)
-
-
-def _json_from_array(arr: np.ndarray):
-    return json.loads(arr.astype(np.uint8).tobytes().decode("utf-8"))

@@ -21,6 +21,9 @@ import numpy as np
 _QUAT_EPS = 1e-12
 # cos(pitch) below which the XYZ extraction switches to the singular branch
 _GIMBAL_SIN_LIMIT = 1.0 - 1e-12
+# The signs of a box's 8 corners in its own frame, x slowest and z fastest.
+_CORNER_SIGNS = np.array([[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+_CORNER_SIGNS.flags.writeable = False
 
 
 def quat_identity() -> np.ndarray:
@@ -239,15 +242,7 @@ class Obb:
 
     def corners(self) -> np.ndarray:
         """The 8 world-frame corner points, shape (8, 3)."""
-        signs = np.array(
-            [
-                [sx, sy, sz]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
-        local = signs * self.half_extents
+        local = _CORNER_SIGNS * self.half_extents
         rot = quat_to_matrix(self.pose.orientation)
         return self.pose.position + local @ rot.T
 

@@ -1,5 +1,11 @@
 import csv
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -172,6 +178,134 @@ def test_failed_writes_keep_previous_files(tmp_path, monkeypatch):
         harness._write_json(out / "run_manifest.json", {"a": 1.0, "b": object()})
     assert (out / "run_manifest.json").read_bytes() == manifest
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("damage", ["column-dropped-and-renamed", "empty"])
+def test_resume_refuses_metrics_it_cannot_keep(tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    assert run_train(make_config("train", out, episodes=3, seed=5, checkpoint_every=2)) == 0
+    metrics = out / "metrics.csv"
+    columns = [f.name for f in fields(sac.EpisodeMetrics)]
+    if damage == "empty":
+        metrics.write_bytes(b"")
+    else:
+        with open(metrics, newline="") as fh:
+            rows = [row[:-2] + row[-1:] for row in csv.reader(fh)]
+        rows[0][rows[0].index("alpha_loss")] = "temperature_loss"
+        with open(metrics, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    before = metrics.read_bytes()
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_run_dict(out, episodes=3, seed=5)))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path), "--checkpoint",
+                     str(out / "checkpoint_ep000002.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metrics}: ") and str(columns) in err
+    assert ("[]" if damage == "empty" else "'temperature_loss'") in err
+    assert metrics.read_bytes() == before
+
+
+# The child of the kill drill: ``softcap train`` whose checkpoint writer
+# pauses, to be killed there, during or right after the save of one file.
+KILL_DRILL_CHILD = """
+import contextlib, pathlib, sys, time
+from softcap import cli, neural
+
+marker, when, name = pathlib.Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+real_replacing = neural.replacing
+
+
+def pause():
+    marker.touch()
+    time.sleep(600)
+
+
+class PausingFile:
+    # Writes through, and pauses after its third write (the prefix, the
+    # header and the first entry).
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        n = self.fh.write(data)
+        self.writes += 1
+        if self.writes == 3:
+            self.fh.flush()
+            pause()
+        return n
+
+
+@contextlib.contextmanager
+def replacing(path, mode="w", **kwargs):
+    target = pathlib.Path(path).name == name
+    with real_replacing(path, mode, **kwargs) as fh:
+        yield PausingFile(fh) if target and when == "during" else fh
+    if target and when == "after":
+        pause()
+
+
+neural.replacing = replacing
+sys.exit(cli.main(sys.argv[4:]))
+"""
+
+
+def kill_when_paused(tmp_path, cfg_path, when, name) -> None:
+    """Run the kill drill's child until it pauses, then SIGKILL it."""
+    script, marker = tmp_path / "child.py", tmp_path / f"paused_{when}"
+    script.write_text(KILL_DRILL_CHILD)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, str(script), str(marker), when, name,
+                             "train", "--config", str(cfg_path)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None, f"the child exited with {proc.returncode} before it paused"
+            assert time.monotonic() < deadline, "the child did not pause within 60 s"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        proc.kill()
+        proc.communicate(timeout=10)
+
+
+def test_kill_drill_resumes_byte_identical(tmp_path):
+    # SIGKILL a training run once right after a checkpoint is saved and once
+    # in the middle of a checkpoint save, then resume each from its newest
+    # checkpoint that loads.
+    def config(out):
+        cfg_path = tmp_path / f"{out.name}.yaml"
+        cfg_path.write_text(yaml.safe_dump(small_run_dict(out, episodes=5, seed=3, checkpoint_every=1)))
+        return cfg_path
+
+    straight = tmp_path / "straight"
+    assert cli.main(["train", "--config", str(config(straight))]) == 0
+    for when, name in (("after", "checkpoint_ep000002.ckpt"), ("during", "checkpoint_ep000003.ckpt")):
+        out = tmp_path / when
+        cfg_path = config(out)
+        kill_when_paused(tmp_path, cfg_path, when, name)
+        assert not (out / "checkpoint_final.ckpt").exists()
+        cfg = load_config("train", str(cfg_path))
+        partial = out / f"{name}.tmp"
+        if when == "during":
+            # The header fixes the file's length, so the cut-short save fails loudly.
+            with pytest.raises(ValueError, match=f"^{re.escape(str(partial))}: .*truncated"):
+                sac.Trainer.load(partial, SoftCaptureEnv(cfg.env), cfg.train)
+        newest = None
+        for path in sorted(out.glob("checkpoint_ep*.ckpt"), reverse=True):
+            try:
+                sac.Trainer.load(path, SoftCaptureEnv(cfg.env), cfg.train)
+            except ValueError:
+                continue
+            newest = path
+            break
+        assert newest == out / "checkpoint_ep000002.ckpt", when
+        assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(newest)]) == 0
+        assert (out / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes(), when
+        assert not list(out.glob("*.tmp")), when
 
 
 def test_unwritable_output_dir_fails_cleanly(tmp_path, capsys):

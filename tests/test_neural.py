@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -258,33 +259,87 @@ def test_init_params_variance_matches_uniform():
 
 
 # ---------------------------------------------------------------- checkpoints
+META = {"version": 7, "x": [0.1, -0.0, 1e300], "name": "run"}
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     arrays = {
         "a.w0": rng.standard_normal((7, 3)),
         "a.b0": rng.standard_normal(7),
         "scalar": np.array(3.25),
         "counter": np.array([17.0]),
+        "empty": np.zeros((0, 4)),
+        "strided": rng.standard_normal((6, 4))[::2, ::-1],
     }
     path = tmp_path / "state.ckpt"
-    neural.save_arrays(path, arrays)
-    loaded = neural.load_arrays(path)
+    neural.save_arrays(path, arrays, META)
+    meta, loaded = neural.load_arrays(path)
+    assert meta == META
     assert set(loaded) == set(arrays)
     for name in arrays:
         assert np.asarray(arrays[name]).shape == loaded[name].shape
         assert np.asarray(arrays[name]).tobytes() == loaded[name].tobytes()
 
 
+def container(header: bytes, data: bytes = b"", version: int = 2) -> bytes:
+    return b"SCPK" + struct.pack("<IQ", version, len(header)) + header + data
+
+
+def test_checkpoint_layout_is_the_documented_one(tmp_path):
+    # "SCPK" | u32 version 2 | u64 header length | sorted-key, spaceless JSON
+    # header | each entry's little-endian float64 values in sorted name order.
+    b, w = np.array([1.5, -0.0]), np.arange(6.0).reshape(2, 3)
+    header = b'{"entries":[["b",[2]],["w",[2,3]]],"meta":{"a":[1,0.25],"z":null}}'
+    expected = container(header, b.astype("<f8").tobytes() + w.astype("<f8").tobytes())
+    path = tmp_path / "small.ckpt"
+    neural.save_arrays(path, {"w": w, "b": b}, {"z": None, "a": [1, 0.25]})
+    assert path.read_bytes() == expected
+    meta, arrays = neural.load_arrays(path)
+    assert meta == {"a": [1, 0.25], "z": None}
+    assert arrays["b"].tobytes() == b.tobytes() and arrays["w"].tobytes() == w.tobytes()
+
+
+EMPTY = b'{"entries":[],"meta":null}'
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(container(EMPTY, version=1), "checkpoint container v1, this program reads v2", id="v1"),
+    pytest.param(container(EMPTY, version=3), "checkpoint container v3, this program reads v2", id="v3"),
+    pytest.param(b"SCPK" + struct.pack("<I", 2), "header: truncated", id="short-prefix"),
+    pytest.param(container(EMPTY)[:-1], "header: truncated", id="short-header"),
+    pytest.param(container(b'{"entries":[],"meta":nul}'), "header: not JSON", id="not-json"),
+    pytest.param(container(b'{"entries":[],"meta":"\xff"}'), "header: not JSON", id="not-utf8"),
+    pytest.param(container(b"[]"), "header: not an object", id="not-an-object"),
+    pytest.param(container(b'{"entries":[]}'), "header: not an object", id="no-meta"),
+    pytest.param(container(b'{"entries":[[1,[2]]],"meta":null}', bytes(16)), "header: not an object",
+                 id="name-not-a-string"),
+    pytest.param(container(b'{"entries":[["a",[-1]]],"meta":null}'), "header: not an object",
+                 id="negative-dimension"),
+    pytest.param(container(b'{"entries":[["a",[2.0]]],"meta":null}', bytes(16)), "header: not an object",
+                 id="float-dimension"),
+    pytest.param(container(b'{"entries":[["a",[true]]],"meta":null}', bytes(8)), "header: not an object",
+                 id="bool-dimension"),
+    pytest.param(container(b'{"entries":[["a",[2],3]],"meta":null}', bytes(16)), "header: not an object",
+                 id="entry-of-three"),
+])
+def test_checkpoint_rejects_malformed_container(tmp_path, data, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        neural.load_arrays(path, {})
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a checkpoint file"):
         neural.load_arrays(path)
 
 
 def saved_checkpoint(tmp_path, rng):
     path = tmp_path / "state.ckpt"
     neural.save_arrays(path, {"a.w0": rng.standard_normal((7, 3)), "a.b0": rng.standard_normal(7),
-                              "a.scale": np.array(3.25)})
+                              "a.scale": np.array(3.25)}, META)
     return path
 
 
@@ -305,36 +360,43 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, rng):
 
 def test_load_arrays_reads_only_the_named_entries(tmp_path, rng):
     path = saved_checkpoint(tmp_path, rng)
-    everything = neural.load_arrays(path)
+    _, everything = neural.load_arrays(path)
+    assert neural.load_arrays(path, {}) == (META, {})
     dst = np.zeros(7)
-    got = neural.load_arrays(path, {"a.b0": dst, "a.scale": None, "absent": None})
-    assert sorted(got) == ["a.b0", "a.scale"]
+    meta, got = neural.load_arrays(path, {"a.b0": dst})
+    assert meta == META and list(got) == ["a.b0"]
     assert got["a.b0"] is dst and dst.tobytes() == everything["a.b0"].tobytes()
-    assert got["a.scale"].shape == () and got["a.scale"].tobytes() == everything["a.scale"].tobytes()
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: absent: entry missing"):
+        neural.load_arrays(path, {"a.b0": np.zeros(7), "absent": np.zeros(1)})
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a.w0: shape \(7, 3\), expected \(3, 7\)"):
         neural.load_arrays(path, {"a.w0": np.zeros((3, 7))})
 
 
 def test_partial_read_still_rejects_truncated_and_padded_files(tmp_path, rng):
-    # The entries after the one asked for are checked against the file
-    # size although they are not read.
+    # The entries after the one asked for, or all of them when only the
+    # meta is asked for, are checked against the file size although they
+    # are not read.
     path = saved_checkpoint(tmp_path, rng)
     data = path.read_bytes()
-    path.write_bytes(data[:-13])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a.w0: truncated"):
-        neural.load_arrays(path, {"a.b0": None})
-    path.write_bytes(data + bytes(8))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 8 bytes after the last entry"):
-        neural.load_arrays(path, {"a.b0": None})
+    for into in ({"a.b0": np.zeros(7)}, {}):
+        path.write_bytes(data[:-13])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a.w0: truncated"):
+            neural.load_arrays(path, into)
+        path.write_bytes(data + bytes(8))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 8 bytes after the last entry"):
+            neural.load_arrays(path, into)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, rng):
     path = saved_checkpoint(tmp_path, rng)
-    before = neural.load_arrays(path)
-    # Sorted entry order writes "a.ok" before the entry that cannot convert.
+    _, before = neural.load_arrays(path)
+    # "a.ok" converts; "b.bad" cannot, and the save fails before it opens
+    # a file.
     with pytest.raises((TypeError, ValueError)):
-        neural.save_arrays(path, {"a.ok": np.ones(4), "b.bad": np.array(["not a number"])})
-    after = neural.load_arrays(path)
+        neural.save_arrays(path, {"a.ok": np.ones(4), "b.bad": np.array(["not a number"])}, META)
+    with pytest.raises(TypeError):
+        neural.save_arrays(path, {"a.ok": np.ones(4)}, {"not JSON": object()})
+    _, after = neural.load_arrays(path)
     assert set(after) == set(before)
     assert all(after[name].tobytes() == before[name].tobytes() for name in before)
     assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -716,7 +717,7 @@ def test_small_buffer_resume_metrics_byte_identical(tmp_path):
     assert harness.run_train(config(tmp_path / "straight", 5)) == 0
     assert harness.run_train(config(tmp_path / "resumed", 3)) == 0
     middle = tmp_path / "resumed" / "checkpoint_final.ckpt"
-    meta = sac._json_from_array(neural.load_arrays(middle, {"meta": None})["meta"])
+    meta, _ = neural.load_arrays(middle, {})
     assert (meta["buffer_size"], meta["buffer_cursor"], meta["buffer_tail_size"]) == (50, 20, 3)
     assert harness.run_train(config(tmp_path / "resumed", 5, middle)) == 0
     assert (tmp_path / "straight" / "metrics.csv").read_bytes() == (
@@ -865,28 +866,28 @@ def test_checkpoint_load_then_save_is_byte_identical(tmp_path):
 
 def test_checkpoint_entries_are_the_trainer_table(tmp_path):
     path, trainer = trained_checkpoint(tmp_path)
-    arrays = neural.load_arrays(path)
+    meta, arrays = neural.load_arrays(path)
     table = trainer.checkpoint_table()
-    assert sorted(arrays) == sorted([*table, "meta"])
+    assert meta["version"] == sac.CHECKPOINT_VERSION
+    assert sorted(arrays) == sorted(table)
     for name, live in table.items():
         assert np.array_equal(arrays[name], live), name
     assert table["policy"] is trainer.agent.policy.params.flat
 
 
 def rewrite_checkpoint(path, out, change):
-    arrays = {name: a.copy() for name, a in neural.load_arrays(path).items()}
-    meta = sac._json_from_array(arrays["meta"])
+    meta, arrays = neural.load_arrays(path)
     change(arrays, meta)
-    arrays["meta"] = sac._json_to_array(meta)
-    neural.save_arrays(out, arrays)
+    neural.save_arrays(out, arrays, meta)
     return out
 
 
 # Each case: how the file is changed, the error after its path, and whether
 # the policy reader, which reads only the meta and the policy, rejects it too.
 @pytest.mark.parametrize("change, message, policy_reader_rejects", [
-    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v3", True),
-    (lambda arrays, meta: meta.update(version=2), "checkpoint format v2, this program reads v3", True),
+    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v4", True),
+    (lambda arrays, meta: meta.update(version=2), "checkpoint format v2, this program reads v4", True),
+    (lambda arrays, meta: meta.update(version=3), "checkpoint format v3, this program reads v4", True),
     (lambda arrays, meta: arrays.pop("policy"), "policy: entry missing", True),
     (lambda arrays, meta: arrays.pop("adam.q2.v"), "adam.q2.v: entry missing", False),
     (lambda arrays, meta: arrays.update(target_q1=arrays["target_q1"][:-1]),
@@ -907,3 +908,17 @@ def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, messa
             Trainer.load_policy(bad, env)
     else:
         Trainer.load_policy(bad, env)
+
+
+def test_checkpoint_of_the_old_container_is_refused(tmp_path):
+    # Format v3 and older wrote container v1: "SCPK" | u32 1 | u32 entry
+    # count, then per entry u16 name length | name | u8 ndim | u32 dims |
+    # f64 data.
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(b"SCPK" + struct.pack("<IIH", 1, 1, 4) + b"meta" + struct.pack("<BId", 1, 1, 0.0))
+    env = SoftCaptureEnv(small_env_config())
+    match = f"^{re.escape(str(path))}: checkpoint container v1, this program reads v2"
+    with pytest.raises(ValueError, match=match):
+        Trainer.load(path, env, small_train_config(episodes=1))
+    with pytest.raises(ValueError, match=match):
+        Trainer.load_policy(path, env)
