@@ -11,6 +11,7 @@ whenever the gripper transmits normal contact force to the target.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -430,6 +431,33 @@ def write_table(path, columns: Sequence[str], rows) -> None:
         writer.writerows(table_row(row) for row in rows)
 
 
+def read_table(path, columns: Optional[Sequence[str]] = None,
+               limit: Optional[int] = None) -> Tuple[List[str], List[List[str]]]:
+    """The header of the table at ``path`` and its first ``limit`` rows (all
+    by default), each row's cells as read.  The header must be present, and
+    be ``columns`` when they are given; each row read must have the
+    header's cell count, and every cell must be a number.  A failure names
+    the path, and the line of a bad row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header or columns is not None and header != list(columns):
+            expected = "a header row" if columns is None else list(columns)
+            raise ValueError(f"{path}: header is {header}, expected {expected}")
+        rows = []
+        for row in itertools.islice(reader, limit):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            for name, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{where}: {name}: {cell!r} is not a number") from None
+            rows.append(row)
+    return header, rows
+
+
 # Episode trace files: one row per timestep.
 TRACE_REWARD_COLUMNS = ("r_dist", "r_align", "r_surr", "r_contact", "reward", "contact_force")
 TRACE_POSE_COLUMNS = tuple(f"{body}_{c}" for body in "gt"
@@ -450,23 +478,3 @@ def write_trace_csv(path, records: Sequence[TraceRecord]) -> None:
          *r.gripper_pose.position.tolist(), *r.gripper_pose.orientation.tolist(),
          *r.target_pose.position.tolist(), *r.target_pose.orientation.tolist()]
         for r in records))
-
-
-def read_trace_csv(path) -> Tuple[List[str], List[List[float]]]:
-    """Parse a trace file into (header, rows); malformed rows raise with
-    their line number."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return header, rows

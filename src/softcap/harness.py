@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
-                  read_trace_csv, table_row, write_table, write_trace_csv)
+                  read_table, table_row, write_table, write_trace_csv)
 from .files import replacing
 from .sac import EpisodeMetrics, TrainConfig, Trainer, deterministic_action, episode_seed
 
@@ -164,10 +164,6 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
     return _build_dataclass(RunConfig, data, "run config")
 
 
-def config_snapshot(cfg: RunConfig) -> Dict:
-    return dataclasses.asdict(cfg)
-
-
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -191,7 +187,7 @@ def _run(cfg: RunConfig, body) -> int:
         "mode": cfg.mode,
         "seed": cfg.seed,
         "code_version": __version__,
-        "config": config_snapshot(cfg),
+        "config": dataclasses.asdict(cfg),
         "started_at": _now(),
         "finished_at": None,
         "status": "running",
@@ -225,23 +221,18 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     metrics_path = out / "metrics.csv"
     columns = [f.name for f in fields(EpisodeMetrics)]
     # A resumed run keeps the rows of the episodes its checkpoint holds,
-    # written back as read, so the table it keeps must have this run's
-    # columns.  Resumed into a directory without them, its table and
-    # summary cover only the episodes it runs.
+    # checked and written back as read, so the table it keeps must have
+    # this run's columns.  Resumed into a directory without them, its table
+    # and summary cover only the episodes it runs.
     kept_rows: List[List[str]] = []
     if trainer.episode > 0 and metrics_path.exists():
-        with open(metrics_path, newline="") as fh:
-            header, *old_rows = list(csv.reader(fh)) or [[]]
-        if header != columns:
-            raise ValueError(f"{metrics_path}: cannot resume into this table: its header is {header}, "
-                             f"this run writes {columns}")
-        kept_rows = old_rows[: trainer.episode]
+        _, kept_rows = read_table(metrics_path, columns, limit=trainer.episode)
     if len(kept_rows) < trainer.episode:
         print(f"warning: {metrics_path} holds {len(kept_rows)} of the {trainer.episode} episodes "
               f"the checkpoint has run; the summary's means cover only the episodes in it",
               file=sys.stderr)
     returns = [float(r[columns.index("episode_return")]) for r in kept_rows]
-    successes = [int(r[columns.index("success")]) for r in kept_rows]
+    successes = [float(r[columns.index("success")]) for r in kept_rows]
 
     # The kept rows replace the old file whole, so a crash never leaves it
     # without them; the new episodes are then appended.
@@ -276,7 +267,7 @@ def run_train(cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------------
 # eval
-def _evaluate_policy(policy, env: SoftCaptureEnv, seed: int, episodes: int, out: Optional[Path]):
+def _evaluate_policy(policy, env: SoftCaptureEnv, seed: int, episodes: int, out: Path):
     rows = []
     for ep in range(episodes):
         obs = env.reset(episode_seed(seed, ep, stream=_EVAL_STREAM))
@@ -289,10 +280,8 @@ def _evaluate_policy(policy, env: SoftCaptureEnv, seed: int, episodes: int, out:
             done = result.done
             total += result.reward
             terms += np.array(result.terms)
-        success = env.is_success()
-        if out is not None:
-            write_trace_csv(out / f"episode_{ep:04d}_trace.csv", env.trace)
-        rows.append((ep, total, int(success), *(terms / env.config.episode_length).tolist()))
+        write_trace_csv(out / f"episode_{ep:04d}_trace.csv", env.trace)
+        rows.append((ep, total, int(env.is_success()), *(terms / env.config.episode_length).tolist()))
     return rows
 
 
@@ -362,7 +351,7 @@ def run_compare(cfg: RunConfig) -> int:
 # replay-export
 def run_replay_export(cfg: RunConfig) -> int:
     def body(out: Path) -> Dict:
-        header, rows = read_trace_csv(cfg.trace)
+        header, rows = read_table(cfg.trace)
         reward_columns = ("step", *TRACE_REWARD_COLUMNS)
         pose_columns = ("step", *TRACE_POSE_COLUMNS)
         missing = [c for c in reward_columns if c not in header]
@@ -373,8 +362,7 @@ def run_replay_export(cfg: RunConfig) -> int:
             print(f"warning: {cfg.trace} holds no timestep rows", file=sys.stderr)
 
         def export(path: Path, columns) -> Path:
-            write_table(path, columns, ([int(row[idx["step"]]), *(row[idx[c]] for c in columns[1:])]
-                                        for row in rows))
+            write_table(path, columns, ([row[idx[c]] for c in columns] for row in rows))
             return path
 
         stem = Path(cfg.trace).stem

@@ -85,12 +85,6 @@ class DenseParams:
     def clone(self) -> "DenseParams":
         return DenseParams.from_flat(self.flat.copy(), self.layer_sizes)
 
-    def zeros_like(self) -> "DenseParams":
-        return DenseParams.zeros(self.layer_sizes)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 class Workspace:
     """Arrays that one network's passes reuse from call to call.
@@ -225,35 +219,35 @@ def backward(params: DenseParams, cache: Workspace, grad_output: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the parameters."""
+    """First/second moment accumulators, flat vectors like the parameters'."""
 
-    m: DenseParams
-    v: DenseParams
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros_like(cls, params: DenseParams) -> "AdamState":
-        return cls(m=params.zeros_like(), v=params.zeros_like(), t=0)
+    def zeros(cls, n: int) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(
-    params: DenseParams,
-    grads: DenseParams,
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float = 3e-4,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
     ws: Optional[Workspace] = None,
-) -> Tuple[DenseParams, AdamState]:
-    """One bias-corrected Adam update, made in place on ``params`` and
-    ``state``, which are returned.  Rejects non-finite gradients before
+) -> None:
+    """One bias-corrected Adam update of the flat vector ``params``, made in
+    place on it and on ``state``.  Rejects non-finite gradients before
     changing either.  ``ws`` holds the two scratch vectors the step needs.
     """
-    if not grads.is_finite():
+    if not np.isfinite(grads).all():
         raise FloatingPointError("non-finite gradient, refusing to update parameters")
     ws = Workspace() if ws is None else ws
-    g, m, v = grads.flat, state.m.flat, state.v.flat
+    g, m, v = grads, state.m, state.v
     step = ws.temp("update", g.shape)
     denom = ws.temp("denom", g.shape)
     state.t += 1
@@ -274,8 +268,7 @@ def adam_step(
     np.divide(m, c1, out=step)
     step *= lr
     step /= denom
-    params.flat -= step
-    return params, state
+    params -= step
 
 
 # ----------------------------------------------------------------------

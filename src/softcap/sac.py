@@ -10,7 +10,7 @@ every ``train_freq`` environment steps, followed by soft target updates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,10 @@ HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+# The learned quantities, each stepped by its own ``neural.AdamState``
+# (``SacAgent.opt_<name>``): the three networks and the log temperature.
+_OPTIMIZERS = ("policy", "q1", "q2", "alpha")
 
 
 @dataclass
@@ -261,24 +264,6 @@ class Temperature:
         return math.exp(self.log_alpha)
 
 
-@dataclass
-class _ScalarAdam:
-    m: float = 0.0
-    v: float = 0.0
-    t: int = 0
-
-    def step(self, x: float, grad: float, lr: float, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> float:
-        if not math.isfinite(grad):
-            raise FloatingPointError("non-finite temperature gradient")
-        self.t += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        m_hat = self.m / (1.0 - beta1**self.t)
-        v_hat = self.v / (1.0 - beta2**self.t)
-        return x - lr * m_hat / (math.sqrt(v_hat) + eps)
-
-
 # ----------------------------------------------------------------------
 # Losses and their hand-derived gradients (all finite-difference checked).
 def critic_target(batch: Batch, critics: TwinCritics, policy: PolicyNet,
@@ -382,10 +367,10 @@ class SacAgent:
         self.critics = critics
         self.temperature = temperature
         self.config = config
-        self.opt_policy = AdamState.zeros_like(policy.params)
-        self.opt_q1 = AdamState.zeros_like(critics.q1)
-        self.opt_q2 = AdamState.zeros_like(critics.q2)
-        self.opt_alpha = _ScalarAdam()
+        self.opt_policy = AdamState.zeros(policy.params.flat.size)
+        self.opt_q1 = AdamState.zeros(critics.q1.flat.size)
+        self.opt_q2 = AdamState.zeros(critics.q2.flat.size)
+        self.opt_alpha = AdamState.zeros(1)
         scratch = Workspace()
         self.ws = Workspaces(Workspace(scratch), Workspace(scratch), Workspace(scratch))
 
@@ -406,9 +391,9 @@ class SacAgent:
     def update_critics(self, batch: Batch, y: np.ndarray) -> Tuple[float, float]:
         lr = self.config.learning_rate
         loss1, grads1 = critic_loss_and_grads(self.critics.q1, batch.obs, batch.action, y, self.ws.q1)
-        neural.adam_step(self.critics.q1, grads1, self.opt_q1, lr=lr, ws=self.ws.q1)
+        neural.adam_step(self.critics.q1.flat, grads1.flat, self.opt_q1, lr=lr, ws=self.ws.q1)
         loss2, grads2 = critic_loss_and_grads(self.critics.q2, batch.obs, batch.action, y, self.ws.q2)
-        neural.adam_step(self.critics.q2, grads2, self.opt_q2, lr=lr, ws=self.ws.q2)
+        neural.adam_step(self.critics.q2.flat, grads2.flat, self.opt_q2, lr=lr, ws=self.ws.q2)
         return loss1, loss2
 
     def update_policy(self, batch: Batch, rng: np.random.Generator) -> Tuple[float, np.ndarray]:
@@ -416,7 +401,7 @@ class SacAgent:
         loss, grads, log_prob = policy_loss_and_grads(
             self.policy, self.critics, self.temperature.alpha, batch.obs, noise, self.ws
         )
-        neural.adam_step(self.policy.params, grads, self.opt_policy,
+        neural.adam_step(self.policy.params.flat, grads.flat, self.opt_policy,
                          lr=self.config.learning_rate, ws=self.ws.policy)
         return loss, log_prob
 
@@ -424,9 +409,9 @@ class SacAgent:
         loss, grad = temperature_loss_and_grad(
             self.temperature.log_alpha, log_prob, self.temperature.target_entropy
         )
-        self.temperature.log_alpha = self.opt_alpha.step(
-            self.temperature.log_alpha, grad, lr=self.config.learning_rate
-        )
+        log_alpha = np.array([self.temperature.log_alpha])
+        neural.adam_step(log_alpha, np.array([grad]), self.opt_alpha, lr=self.config.learning_rate)
+        self.temperature.log_alpha = float(log_alpha[0])
         return loss
 
     def update(self, batch: Batch, rng: np.random.Generator) -> UpdateInfo:
@@ -543,14 +528,13 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    # A checkpoint (format v4) is the ``neural.save_arrays`` container of the
+    # A checkpoint (format v5) is the ``neural.save_arrays`` container of the
     # table of ``checkpoint_table``, with the scalars as the header's JSON
     # meta, whose floats round-trip exactly.  ``save`` writes the table;
     # ``load`` reads each entry of the file straight into the same table of
     # a zero-filled trainer.
     def _adam(self):
-        agent = self.agent
-        return (("policy", agent.opt_policy), ("q1", agent.opt_q1), ("q2", agent.opt_q2))
+        return [(name, getattr(self.agent, f"opt_{name}")) for name in _OPTIMIZERS]
 
     def checkpoint_table(self) -> Dict[str, np.ndarray]:
         """Checkpoint entry name -> the live array it saves and restores:
@@ -560,8 +544,8 @@ class Trainer:
         table = {"policy": self.agent.policy.params.flat, "q1": critics.q1.flat, "q2": critics.q2.flat,
                  "target_q1": critics.target_q1.flat, "target_q2": critics.target_q2.flat}
         for name, opt in self._adam():
-            table[f"adam.{name}.m"] = opt.m.flat
-            table[f"adam.{name}.v"] = opt.v.flat
+            table[f"adam.{name}.m"] = opt.m
+            table[f"adam.{name}.v"] = opt.v
         for name in ("obs", "action", "reward", "done", "slot"):
             table[f"buffer.{name}"] = getattr(buf, f"_{name}")[: len(buf)]
         table["buffer.tail"] = buf._tail[: buf._tail_size]
@@ -581,7 +565,6 @@ class Trainer:
             "log_alpha": temperature.log_alpha,
             "target_entropy": temperature.target_entropy,
             "adam_steps": {name: opt.t for name, opt in self._adam()},
-            "adam_alpha": asdict(self.agent.opt_alpha),
             "buffer_capacity": buf.capacity,
             "buffer_size": len(buf),
             "buffer_cursor": buf._cursor,
@@ -603,7 +586,6 @@ class Trainer:
         critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))
         temperature = Temperature(float(meta["log_alpha"]), float(meta["target_entropy"]))
         agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics, temperature, config)
-        agent.opt_alpha = _ScalarAdam(**meta["adam_alpha"])
         trainer = cls(env, config, agent)
         buf = trainer.buffer
         buf._size, buf._cursor = _ring(path, meta, "buffer", "transitions", buf.capacity)
@@ -633,14 +615,36 @@ class Trainer:
         return policy
 
 
+# Every meta key ``Trainer.load`` reads, with its JSON type; a dotted key
+# names a member of the object before the dot.
+_META_TYPES = {
+    "seed": "integer", "obs_dim": "integer", "action_dim": "integer", "tactile": "boolean",
+    "episode": "integer", "env_steps": "integer", "updates": "integer",
+    "log_alpha": "number", "target_entropy": "number", "adam_steps": "object",
+    **{f"adam_steps.{name}": "integer" for name in _OPTIMIZERS},
+    "buffer_capacity": "integer", "buffer_size": "integer", "buffer_cursor": "integer",
+    "buffer_tail_size": "integer", "buffer_tail_cursor": "integer",
+    "rng_act": "object", "rng_learn": "object",
+}
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "object": (dict,)}
+
+
 def _checked_meta(path, env) -> Dict:
-    """The meta of the checkpoint at ``path``, which must be of this format
-    and of the network widths ``env`` needs."""
+    """The meta of the checkpoint at ``path``, which must be of this format,
+    hold every key of ``_META_TYPES`` with its type, and be of the network
+    widths ``env`` needs."""
     meta, _ = neural.load_arrays(path, {})
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint format v{version}, "
                          f"this program reads v{CHECKPOINT_VERSION}")
+    for key, kind in _META_TYPES.items():
+        *parent, name = key.split(".")
+        scope = meta[parent[0]] if parent else meta
+        if name not in scope:
+            raise ValueError(f"{path}: meta: {key} missing")
+        if type(scope[name]) not in _JSON_TYPES[kind]:
+            raise ValueError(f"{path}: meta: {key} must be {kind}, got {scope[name]!r}")
     if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
         raise ValueError(
             f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "

@@ -256,11 +256,11 @@ def test_criterion_07_sac_mechanics_suite():
         assert np.allclose(y, 0.5 * 1.0)
 
     # Alpha positivity under violent gradients.
-    opt = sac._ScalarAdam()
-    log_alpha = 0.0
+    opt = neural.AdamState.zeros(1)
+    log_alpha = np.zeros(1)
     for grad in (1e8, -1e8, 37.0, -0.5, 1e8):
-        log_alpha = opt.step(log_alpha, grad, lr=1.0)
-        assert math.exp(log_alpha) > 0.0
+        neural.adam_step(log_alpha, np.array([grad]), opt, lr=1.0)
+        assert math.exp(log_alpha[0]) > 0.0
 
     # Soft-update geometric decay within 1e-9.
     online = neural.init_params(1, [3, 8, 2])

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from softcap.env import (
     compute_reward,
     is_success,
     longest_streak,
-    read_trace_csv,
+    read_table,
     write_table,
     write_trace_csv,
 )
@@ -491,12 +492,12 @@ def test_trace_round_trip(tmp_path):
         env.step(rng.uniform(-1, 1, 6))
     path = tmp_path / "trace.csv"
     write_trace_csv(path, env.trace)
-    header, rows = read_trace_csv(path)
+    header, rows = read_table(path)
     assert len(rows) == 25
     assert header[0] == "step"
     reward_idx = header.index("reward")
     for record, row in zip(env.trace, rows):
-        assert row[reward_idx] == record.reward  # repr round trip is exact
+        assert float(row[reward_idx]) == record.reward  # repr round trip is exact
 
 
 def test_table_row_round_trips_every_cell_kind(tmp_path):
@@ -510,14 +511,23 @@ def test_table_row_round_trips_every_cell_kind(tmp_path):
     assert [struct.pack("<d", float(v)) for v in row[:6]] == [struct.pack("<d", v) for v in floats]
     assert row[6:] == [str(2**70), "1", "0", "", 'a,"b"']
     write_table(path, ["x"], [[floats[5]]])
-    assert read_trace_csv(path) == (["x"], [[floats[5]]])
+    assert read_table(path) == (["x"], [[repr(float(floats[5]))]])
+    assert float(read_table(path)[1][0][0]) == floats[5]
 
 
 def test_trace_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("step,reward\n1,2.0\n1,not_a_number\n")
-    with pytest.raises(ValueError, match=":3"):
-        read_trace_csv(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: reward: 'not_a_number' is not"):
+        read_table(path)
     path.write_text("step,reward\n1,2.0,3.0\n")
-    with pytest.raises(ValueError, match=":2"):
-        read_trace_csv(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected 2 fields, got 3"):
+        read_table(path)
+    # A bad row past the limit is neither read nor checked.
+    assert read_table(path, limit=0) == (["step", "reward"], [])
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header is \\[\\], expected a header row"):
+        read_table(path)
+    path.write_text("step,reward\n")
+    with pytest.raises(ValueError, match=r"header is \['step', 'reward'\], expected \['step'\]"):
+        read_table(path, ["step"])

@@ -180,7 +180,7 @@ def test_failed_writes_keep_previous_files(tmp_path, monkeypatch):
     assert not list(out.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("damage", ["column-dropped-and-renamed", "empty"])
+@pytest.mark.parametrize("damage", ["column-dropped-and-renamed", "empty", "short-row", "not-a-number"])
 def test_resume_refuses_metrics_it_cannot_keep(tmp_path, capsys, damage):
     out = tmp_path / "run"
     assert run_train(make_config("train", out, episodes=3, seed=5, checkpoint_every=2)) == 0
@@ -190,8 +190,14 @@ def test_resume_refuses_metrics_it_cannot_keep(tmp_path, capsys, damage):
         metrics.write_bytes(b"")
     else:
         with open(metrics, newline="") as fh:
-            rows = [row[:-2] + row[-1:] for row in csv.reader(fh)]
-        rows[0][rows[0].index("alpha_loss")] = "temperature_loss"
+            rows = list(csv.reader(fh))
+        if damage == "column-dropped-and-renamed":
+            rows = [row[:-2] + row[-1:] for row in rows]
+            rows[0][rows[0].index("alpha_loss")] = "temperature_loss"
+        elif damage == "short-row":
+            rows[1] = rows[1][:-1]
+        else:
+            rows[1][columns.index("episode_return")] = "oops"
         with open(metrics, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
     before = metrics.read_bytes()
@@ -201,8 +207,14 @@ def test_resume_refuses_metrics_it_cannot_keep(tmp_path, capsys, damage):
     assert cli.main(["train", "--config", str(cfg_path), "--checkpoint",
                      str(out / "checkpoint_ep000002.ckpt")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {metrics}: ") and str(columns) in err
-    assert ("[]" if damage == "empty" else "'temperature_loss'") in err
+    if damage in ("short-row", "not-a-number"):
+        # The first kept row is line 2 of the file.
+        assert err.startswith(f"error: {metrics}:2: ")
+        assert ("expected 15 fields, got 14" if damage == "short-row"
+                else "episode_return: 'oops' is not a number") in err
+    else:
+        assert err.startswith(f"error: {metrics}: ") and str(columns) in err
+        assert ("[]" if damage == "empty" else "'temperature_loss'") in err
     assert metrics.read_bytes() == before
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -83,7 +84,7 @@ def test_backward_linear_single_layer():
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
-    grads = params.zeros_like()
+    grads = DenseParams.zeros(params.layer_sizes)
     for store, gstore in ((params.weights, grads.weights), (params.biases, grads.biases)):
         for arr, garr in zip(store, gstore):
             flat, gflat = arr.ravel(), garr.ravel()
@@ -185,12 +186,11 @@ def test_backward_rejects_mismatched_cache(rng):
 # ---------------------------------------------------------------- adam
 def test_adam_zero_gradient_keeps_params(rng):
     params = random_net(rng, [3, 4, 2])
-    before = params.clone()
-    state = AdamState.zeros_like(params)
-    new, state = adam_step(params, params.zeros_like(), state)
+    before = params.flat.copy()
+    state = AdamState.zeros(params.flat.size)
+    adam_step(params.flat, np.zeros_like(params.flat), state)
     assert state.t == 1
-    for a, b in zip(new.weights, before.weights):
-        assert np.allclose(a, b, atol=0.0)
+    assert np.array_equal(params.flat, before)
 
 
 def test_adam_first_step_closed_form():
@@ -199,41 +199,62 @@ def test_adam_first_step_closed_form():
     lr, eps = 3e-4, 1e-8
     # adam_step updates params in place, so the expectation reads a copy.
     before = params.clone()
-    new, state = adam_step(params, grads, AdamState.zeros_like(params), lr=lr, eps=eps)
+    state = AdamState.zeros(params.flat.size)
+    adam_step(params.flat, grads.flat, state, lr=lr, eps=eps)
     # With zero moments, the bias-corrected step is lr * g / (|g| + eps).
     expect_w = before.weights[0] - lr * grads.weights[0] / (np.abs(grads.weights[0]) + eps)
     expect_b = before.biases[0] - lr * grads.biases[0] / (np.abs(grads.biases[0]) + eps)
-    assert np.allclose(new.weights[0], expect_w, atol=1e-15)
-    assert np.allclose(new.biases[0], expect_b, atol=1e-15)
+    assert np.allclose(params.weights[0], expect_w, atol=1e-15)
+    assert np.allclose(params.biases[0], expect_b, atol=1e-15)
     assert state.t == 1
 
 
-def test_adam_two_steps_match_recurrence():
-    g = 0.25
-    params = DenseParams([np.array([[0.0]])], [np.array([0.0])])
-    grads = DenseParams([np.array([[g]])], [np.array([g])])
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    p, state = adam_step(params, grads, AdamState.zeros_like(params), lr, b1, b2, eps)
-    p, state = adam_step(p, grads, state, lr, b1, b2, eps)
+class ScalarAdam:
+    """The scalar recurrence, one Python float at a time, as the reference
+    for the vector step."""
 
-    # Hand-computed two-step recurrence for a constant gradient.
-    m = v = 0.0
-    x = 0.0
-    for t in (1, 2):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        x = x - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    assert abs(p.weights[0][0, 0] - x) < 1e-15
-    assert abs(p.biases[0][0] - x) < 1e-15
-    assert state.t == 2
+    def __init__(self):
+        self.m = self.v = 0.0
+        self.t = 0
+
+    def step(self, x, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.t += 1
+        self.m = beta1 * self.m + (1.0 - beta1) * grad
+        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
+        m_hat = self.m / (1.0 - beta1**self.t)
+        v_hat = self.v / (1.0 - beta2**self.t)
+        return x - lr * m_hat / (math.sqrt(v_hat) + eps)
+
+
+def test_adam_two_steps_match_recurrence():
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    cases = [
+        (2, [0.25, 0.25]),
+        # A learned scalar such as log alpha, over gradients of every scale
+        # and sign.
+        (1, [0.25, -3.0, 1e-6, 1e2, -7.5e-3, 42.0, -1e2, 3e-5]),
+    ]
+    for n, grads in cases:
+        params, state = np.zeros(n), AdamState.zeros(n)
+        ref, x = ScalarAdam(), 0.0
+        for g in grads:
+            adam_step(params, np.full(n, g), state, lr, b1, b2, eps)
+            x = ref.step(x, g, lr, b1, b2, eps)
+            # Bitwise: the vector step is the scalar recurrence.
+            for got, want in ((params, x), (state.m, ref.m), (state.v, ref.v)):
+                assert got.tobytes() == np.full(n, want).tobytes()
+        assert state.t == ref.t == len(grads)
 
 
 def test_adam_rejects_non_finite_gradient(rng):
     params = random_net(rng, [2, 3, 1])
-    grads = params.zeros_like()
-    grads.weights[0][0, 0] = np.nan
+    before = params.flat.copy()
+    grads = np.zeros_like(params.flat)
+    grads[0] = np.nan
+    state = AdamState.zeros(params.flat.size)
     with pytest.raises(FloatingPointError):
-        adam_step(params, grads, AdamState.zeros_like(params))
+        adam_step(params.flat, grads, state)
+    assert np.array_equal(params.flat, before) and state.t == 0
 
 
 # ---------------------------------------------------------------- init

@@ -345,11 +345,11 @@ def test_temperature_moves_with_entropy_error(rng):
 
 def test_alpha_stays_positive_under_extreme_gradients():
     t = Temperature(log_alpha=0.0, target_entropy=-2.0)
-    agent_opt = sac._ScalarAdam()
-    x = t.log_alpha
+    agent_opt = neural.AdamState.zeros(1)
+    x = np.array([t.log_alpha])
     for g in (1e9, -1e9, 1e9, 3.0, -7.0):
-        x = agent_opt.step(x, g, lr=0.5)
-        assert math.exp(x) > 0.0
+        neural.adam_step(x, np.array([g]), agent_opt, lr=0.5)
+        assert math.exp(x[0]) > 0.0
 
 
 # ---------------------------------------------------------------- soft updates
@@ -410,14 +410,11 @@ def reference_backward(params, cache, grad_output, ws=None, param_grads=True, in
 
 def reference_adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8, ws=None):
     t = state.t + 1
-    for store in ("weights", "biases"):
-        for p, g, m, v in zip(*(getattr(x, store) for x in (params, grads, state.m, state.v))):
-            m_new = beta1 * m + (1.0 - beta1) * g
-            v_new = beta2 * v + (1.0 - beta2) * g * g
-            p[...] = p - lr * (m_new / (1.0 - beta1**t)) / (np.sqrt(v_new / (1.0 - beta2**t)) + eps)
-            m[...], v[...] = m_new, v_new
+    m_new = beta1 * state.m + (1.0 - beta1) * grads
+    v_new = beta2 * state.v + (1.0 - beta2) * grads * grads
+    params[...] = params - lr * (m_new / (1.0 - beta1**t)) / (np.sqrt(v_new / (1.0 - beta2**t)) + eps)
+    state.m[...], state.v[...] = m_new, v_new
     state.t = t
-    return params, state
 
 
 def reference_soft_update(online, target, tau=0.005, ws=None):
@@ -442,15 +439,16 @@ def test_update_matches_allocating_reference_bitwise(monkeypatch):
     agent, infos = run(reference=False)
     ref, ref_infos = run(reference=True)
     assert infos == ref_infos
-    pairs = [(agent.policy.params, ref.policy.params)]
+    pairs = [(agent.policy.params.flat, ref.policy.params.flat)]
     for name in ("q1", "q2", "target_q1", "target_q2"):
-        pairs.append((getattr(agent.critics, name), getattr(ref.critics, name)))
-    for name in ("opt_policy", "opt_q1", "opt_q2"):
+        pairs.append((getattr(agent.critics, name).flat, getattr(ref.critics, name).flat))
+    for name in ("opt_policy", "opt_q1", "opt_q2", "opt_alpha"):
         opt, ref_opt = getattr(agent, name), getattr(ref, name)
         assert opt.t == ref_opt.t == 20
         pairs += [(opt.m, ref_opt.m), (opt.v, ref_opt.v)]
     for got, want in pairs:
-        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.tobytes() == want.tobytes()
+    assert struct.pack("<d", agent.temperature.log_alpha) == struct.pack("<d", ref.temperature.log_alpha)
 
 
 def test_critic_grads_without_workspace_are_fresh(rng):
@@ -873,6 +871,7 @@ def test_checkpoint_entries_are_the_trainer_table(tmp_path):
     for name, live in table.items():
         assert np.array_equal(arrays[name], live), name
     assert table["policy"] is trainer.agent.policy.params.flat
+    assert table["adam.alpha.m"] is trainer.agent.opt_alpha.m and table["adam.alpha.v"].shape == (1,)
 
 
 def rewrite_checkpoint(path, out, change):
@@ -885,9 +884,9 @@ def rewrite_checkpoint(path, out, change):
 # Each case: how the file is changed, the error after its path, and whether
 # the policy reader, which reads only the meta and the policy, rejects it too.
 @pytest.mark.parametrize("change, message, policy_reader_rejects", [
-    (lambda arrays, meta: meta.update(version=1), "checkpoint format v1, this program reads v4", True),
-    (lambda arrays, meta: meta.update(version=2), "checkpoint format v2, this program reads v4", True),
-    (lambda arrays, meta: meta.update(version=3), "checkpoint format v3, this program reads v4", True),
+    *((lambda arrays, meta, v=v: meta.update(version=v),
+       f"checkpoint format v{v}, this program reads v{sac.CHECKPOINT_VERSION}", True)
+      for v in range(1, sac.CHECKPOINT_VERSION)),
     (lambda arrays, meta: arrays.pop("policy"), "policy: entry missing", True),
     (lambda arrays, meta: arrays.pop("adam.q2.v"), "adam.q2.v: entry missing", False),
     (lambda arrays, meta: arrays.update(target_q1=arrays["target_q1"][:-1]),
@@ -908,6 +907,54 @@ def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, messa
             Trainer.load_policy(bad, env)
     else:
         Trainer.load_policy(bad, env)
+
+
+# Every meta key ``Trainer.load`` reads; a dotted key is a member of the
+# object before the dot.
+META_KEYS = ["seed", "obs_dim", "action_dim", "tactile", "episode", "env_steps", "updates",
+             "log_alpha", "target_entropy", "adam_steps", "adam_steps.policy", "adam_steps.q1",
+             "adam_steps.q2", "adam_steps.alpha", "buffer_capacity", "buffer_size", "buffer_cursor",
+             "buffer_tail_size", "buffer_tail_cursor", "rng_act", "rng_learn"]
+
+
+def meta_scope(meta, key):
+    *parent, name = key.split(".")
+    return (meta[parent[0]] if parent else meta), name
+
+
+@pytest.mark.parametrize("key", META_KEYS)
+def test_checkpoint_refuses_meta_without_a_key(tmp_path, key):
+    path, trainer = trained_checkpoint(tmp_path)
+
+    def drop(arrays, meta):
+        scope, name = meta_scope(meta, key)
+        del scope[name]
+
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", drop)
+    env = SoftCaptureEnv(small_env_config())
+    match = f"^{re.escape(str(bad))}: meta: {re.escape(key)} missing$"
+    with pytest.raises(ValueError, match=match):
+        Trainer.load(bad, env, trainer.config)
+    with pytest.raises(ValueError, match=match):
+        Trainer.load_policy(bad, env)
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("episode", "2", "integer"), ("updates", 2.0, "integer"), ("tactile", 0, "boolean"),
+    ("log_alpha", True, "number"), ("adam_steps", [1, 2], "object"),
+    ("adam_steps.alpha", None, "integer"), ("rng_learn", "pcg64", "object"),
+])
+def test_checkpoint_refuses_meta_key_of_another_type(tmp_path, key, value, kind):
+    path, trainer = trained_checkpoint(tmp_path)
+
+    def retype(arrays, meta):
+        scope, name = meta_scope(meta, key)
+        scope[name] = value
+
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", retype)
+    match = f"^{re.escape(str(bad))}: meta: {re.escape(key)} must be {kind}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=match):
+        Trainer.load(bad, SoftCaptureEnv(small_env_config()), trainer.config)
 
 
 def test_checkpoint_of_the_old_container_is_refused(tmp_path):
