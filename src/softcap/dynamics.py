@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,9 @@ class RigidBody:
     """Dynamic state of the free-floating target.
 
     ``lin_vel`` is world frame; ``ang_vel`` and ``inertia_diag`` live in the
-    body principal-axis frame.
+    body principal-axis frame.  The mass and the inertia are positive:
+    ``RandomizationSpec`` checks the mass range and ``EnvConfig`` the half
+    extents that ``box_inertia_diag`` turns into the inertia.
     """
 
     pose: Pose
@@ -43,23 +45,9 @@ class RigidBody:
     inertia_diag: np.ndarray
 
     def __post_init__(self):
-        self.lin_vel = np.asarray(self.lin_vel, dtype=float).reshape(3)
-        self.ang_vel = np.asarray(self.ang_vel, dtype=float).reshape(3)
-        self.inertia_diag = np.asarray(self.inertia_diag, dtype=float).reshape(3)
-        if self.mass <= 0.0:
-            raise ValueError("mass must be > 0")
-        if (self.inertia_diag <= 0.0).any():
-            raise ValueError("inertia components must be > 0")
-
-    @classmethod
-    def from_valid(cls, pose: Pose, lin_vel: np.ndarray, ang_vel: np.ndarray,
-                   mass: float, inertia_diag: np.ndarray) -> "RigidBody":
-        """Body around float (3,) arrays, a mass and an inertia that already
-        passed these checks, taken as they are."""
-        body = cls.__new__(cls)
-        body.pose, body.lin_vel, body.ang_vel = pose, lin_vel, ang_vel
-        body.mass, body.inertia_diag = mass, inertia_diag
-        return body
+        self.lin_vel = np.asarray(self.lin_vel, dtype=float)
+        self.ang_vel = np.asarray(self.ang_vel, dtype=float)
+        self.inertia_diag = np.asarray(self.inertia_diag, dtype=float)
 
     def angular_momentum_world(self) -> np.ndarray:
         rot = quat_to_matrix(self.pose.orientation)
@@ -76,7 +64,8 @@ class GripperBody:
 
     ``ang_vel`` is world frame, matching how the observation reports it.
     ``world_sphere_centers`` (n, 3) is derived from the pose when the
-    gripper is built; a gripper moves by building a new one.
+    gripper is built; a gripper moves by building a new one.  There is one
+    radius per center, each positive, as the rig's module constants are.
     """
 
     pose: Pose
@@ -88,14 +77,10 @@ class GripperBody:
     world_sphere_centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lin_vel = np.asarray(self.lin_vel, dtype=float).reshape(3)
-        self.ang_vel = np.asarray(self.ang_vel, dtype=float).reshape(3)
-        self.sphere_centers = np.asarray(self.sphere_centers, dtype=float).reshape(-1, 3)
-        self.sphere_radii = np.asarray(self.sphere_radii, dtype=float).reshape(-1)
-        if self.sphere_centers.shape[0] != self.sphere_radii.shape[0]:
-            raise ValueError("sphere centers and radii disagree in length")
-        if (self.sphere_radii <= 0.0).any():
-            raise ValueError("sphere radii must be > 0")
+        self.lin_vel = np.asarray(self.lin_vel, dtype=float)
+        self.ang_vel = np.asarray(self.ang_vel, dtype=float)
+        self.sphere_centers = np.asarray(self.sphere_centers, dtype=float)
+        self.sphere_radii = np.asarray(self.sphere_radii, dtype=float)
         rot = quat_to_matrix(self.pose.orientation)
         self.world_sphere_centers = self.pose.position + self.sphere_centers @ rot.T
 
@@ -117,16 +102,13 @@ class ActionLimits:
             raise ValueError("action limits must be > 0")
 
 
-@dataclass
-class ContactResult:
-    """Outcome of one resolution pass: contacts kept with their impulses,
-    the deepest penetration and the solver's residual, the largest
+class ContactResult(NamedTuple):
+    """Outcome of one resolution pass: the summed normal impulse, the
+    deepest penetration and the solver's residual, the largest
     max(bias - v_rel, 0) over the contacts after the last pass (0 when the
     passes met every contact's velocity demand)."""
 
-    contacts: List[Contact]
     total_normal_impulse: float
-    total_normal_force: float
     max_depth: float
     residual: float
 
@@ -139,8 +121,9 @@ def box_inertia_diag(mass: float, half_extents) -> np.ndarray:
 
 
 def open_gripper_region_points() -> np.ndarray:
-    """The 12 body-frame points spanning the finger enclosure: the 9 finger
-    sphere centers plus 3 palm ring points."""
+    """The 12 body-frame points spanning the finger enclosure, finger by
+    finger: its 3 sphere centers from the palm outward, then its palm ring
+    point."""
     points = []
     for angle in _FINGER_ANGLES:
         ray = np.array([0.0, math.cos(angle), math.sin(angle)])
@@ -154,19 +137,14 @@ def build_open_gripper(pose: Optional[Pose] = None) -> GripperBody:
     """Gripper in the fixed open configuration: 3 chains of 3 finger spheres
     plus one palm sphere, and the enclosure region spanned by the 9 finger
     sphere centers and 3 palm ring points."""
-    centers = [np.zeros(3)]
-    radii = [PALM_SPHERE_RADIUS]
-    for angle in _FINGER_ANGLES:
-        ray = np.array([0.0, math.cos(angle), math.sin(angle)])
-        for x, ring in _FINGER_STATIONS:
-            centers.append(np.array([x, 0.0, 0.0]) + ring * ray)
-            radii.append(FINGER_SPHERE_RADIUS)
-    region = ConvexRegion.from_points(open_gripper_region_points())
+    points = open_gripper_region_points()
+    # Each finger's sphere centers, without the palm ring point after them.
+    fingers = points.reshape(len(_FINGER_ANGLES), -1, 3)[:, :-1].reshape(-1, 3)
     return GripperBody(
         pose=pose if pose is not None else Pose(),
-        sphere_centers=np.array(centers),
-        sphere_radii=np.array(radii),
-        finger_region=region,
+        sphere_centers=np.vstack([np.zeros(3), fingers]),
+        sphere_radii=np.array([PALM_SPHERE_RADIUS] + [FINGER_SPHERE_RADIUS] * len(fingers)),
+        finger_region=ConvexRegion.from_points(points),
     )
 
 
@@ -203,8 +181,8 @@ def step_free_body(body: RigidBody, dt: float) -> RigidBody:
     y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
 
     pos = body.pose.position + body.lin_vel * dt
-    return RigidBody.from_valid(Pose.from_unit(pos, quat_normalize(y[:4])), body.lin_vel,
-                                np.array(y[4:]), body.mass, body.inertia_diag)
+    return RigidBody(Pose(pos, quat_normalize(y[:4])), body.lin_vel, np.array(y[4:]),
+                     body.mass, body.inertia_diag)
 
 
 def apply_gripper_action(
@@ -242,7 +220,7 @@ def apply_gripper_action(
     dp_world = rot @ (action[:3] * limits.max_translation_step)
     ang_vel = rot @ (np.array([dx, dy, dz]) * scale)
     return GripperBody(
-        pose=Pose.from_unit(g.pose.position + dp_world, quat_mul(g.pose.orientation, (dw, dx, dy, dz))),
+        pose=Pose(g.pose.position + dp_world, quat_mul(g.pose.orientation, (dw, dx, dy, dz))),
         lin_vel=dp_world / dt,
         ang_vel=ang_vel,
         sphere_centers=g.sphere_centers,
@@ -276,6 +254,10 @@ def resolve_contacts(
     (restitution 0), with the accumulated impulse clamped nonnegative.
     Penetration is corrected only through that velocity bias.
 
+    ``target_box`` is not read: the contacts already carry the box's
+    geometry.  It stays in the signature because callers pass the box
+    positionally, ahead of the contacts.
+
     Per contact, everything the passes do not change is computed once: the
     arm r, the normal n, r x n, I^-1 (r x n), the effective mass k, the
     bias and the gripper's normal velocity.  The passes then run on floats,
@@ -284,7 +266,7 @@ def resolve_contacts(
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     if not contacts:
-        return target, ContactResult([], 0.0, 0.0, 0.0, 0.0)
+        return target, ContactResult(0.0, 0.0, 0.0)
 
     rot = quat_to_matrix(target.pose.orientation)
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
@@ -324,17 +306,9 @@ def resolve_contacts(
         v_rel = vx * nx + vy * ny + vz * nz + (wx * tx + wy * ty + wz * tz) - g_n
         residual = max(residual, bias - v_rel)
 
-    total_impulse = sum(impulses)
-    resolved = RigidBody.from_valid(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
-                                    target.mass, target.inertia_diag)
-    result = ContactResult(
-        contacts=list(contacts),
-        total_normal_impulse=total_impulse,
-        total_normal_force=total_impulse / dt,
-        max_depth=max(c.depth for c in contacts),
-        residual=residual,
-    )
-    return resolved, result
+    resolved = RigidBody(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
+                         target.mass, target.inertia_diag)
+    return resolved, ContactResult(sum(impulses), max(c.depth for c in contacts), residual)
 
 
 def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:

@@ -223,7 +223,6 @@ class SoftCaptureEnv:
         self._step_count = 0
         self._done = True
         self._streak = 0
-        self._rewards: List[float] = []
         self._trace: List[TraceRecord] = []
 
     @property
@@ -246,7 +245,7 @@ class SoftCaptureEnv:
 
     @property
     def target_box(self) -> Obb:
-        return Obb.from_valid(self.target.pose, self._half_extents)
+        return Obb(self.target.pose, self._half_extents)
 
     @property
     def trace(self) -> List[TraceRecord]:
@@ -254,9 +253,10 @@ class SoftCaptureEnv:
 
     def is_success(self) -> bool:
         cfg = self.config
-        if len(self._rewards) != cfg.episode_length:
+        if self._step_count != cfg.episode_length:
             raise ValueError("success is defined over a complete episode trace")
-        return is_success(self._rewards, cfg.success_reward_threshold, cfg.success_streak_length)
+        return is_success([r.reward for r in self._trace], cfg.success_reward_threshold,
+                          cfg.success_streak_length)
 
     def reset(self, seed: int) -> np.ndarray:
         """Start a new episode.  Draw order is fixed: target position,
@@ -273,8 +273,8 @@ class SoftCaptureEnv:
         mass = float(self._rng.uniform(*rnd.target_mass_range))
 
         self._gripper = GripperBody(
-            pose=Pose(np.asarray(cfg.gripper_start_position, dtype=float),
-                      spatial.euler_xyz_to_quat(gripper_euler)),
+            pose=Pose(cfg.gripper_start_position,
+                      spatial.quat_normalize(spatial.euler_xyz_to_quat(gripper_euler))),
             sphere_centers=self._gripper_template.sphere_centers,
             sphere_radii=self._gripper_template.sphere_radii,
             finger_region=self._gripper_template.finger_region,
@@ -289,7 +289,6 @@ class SoftCaptureEnv:
         self._step_count = 0
         self._done = False
         self._streak = 0
-        self._rewards = []
         self._trace = []
         return self._assemble_observation(contact_force=0.0)
 
@@ -314,7 +313,7 @@ class SoftCaptureEnv:
         impulse_total = 0.0
         contact_count, max_depth, residual = 0, 0.0, 0.0
         for _ in range(cfg.physics_substeps):
-            box = Obb.from_valid(self._target.pose, self._half_extents)
+            box = Obb(self._target.pose, self._half_extents)
             contacts = dynamics.detect_contacts(self._gripper, box)
             if contacts:
                 self._target, result = dynamics.resolve_contacts(
@@ -340,7 +339,6 @@ class SoftCaptureEnv:
         self._step_count += 1
         self._done = self._step_count == cfg.episode_length
         self._streak = self._streak + 1 if reward > cfg.success_reward_threshold else 0
-        self._rewards.append(reward)
 
         obs = self._assemble_observation(contact_force)
         # Both actions are fresh arrays, and the simulator replaces poses

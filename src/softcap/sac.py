@@ -594,8 +594,11 @@ class Trainer:
             opt.t = meta["adam_steps"][name]
         trainer.episode, trainer.env_steps = meta["episode"], meta["env_steps"]
         trainer.updates = meta["updates"]
-        trainer.rng_act.bit_generator.state = meta["rng_act"]
-        trainer.rng_learn.bit_generator.state = meta["rng_learn"]
+        for key in ("rng_act", "rng_learn"):
+            try:
+                getattr(trainer, key).bit_generator.state = meta[key]
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{path}: meta: {key}: {err}") from None
         neural.load_arrays(path, trainer.checkpoint_table())
         slot = buf._slot[: len(buf)]
         if len(buf) and not (np.all((slot == np.floor(slot)) & (slot >= -1.0) & (slot < buf._tail_size))
@@ -616,12 +619,12 @@ class Trainer:
 
 
 # Every meta key ``Trainer.load`` reads, with its JSON type; a dotted key
-# names a member of the object before the dot.
+# names a member of the object before the dot.  A count is an integer >= 0.
 _META_TYPES = {
     "seed": "integer", "obs_dim": "integer", "action_dim": "integer", "tactile": "boolean",
-    "episode": "integer", "env_steps": "integer", "updates": "integer",
+    "episode": "count", "env_steps": "count", "updates": "count",
     "log_alpha": "number", "target_entropy": "number", "adam_steps": "object",
-    **{f"adam_steps.{name}": "integer" for name in _OPTIMIZERS},
+    **{f"adam_steps.{name}": "count" for name in _OPTIMIZERS},
     "buffer_capacity": "integer", "buffer_size": "integer", "buffer_cursor": "integer",
     "buffer_tail_size": "integer", "buffer_tail_cursor": "integer",
     "rng_act": "object", "rng_learn": "object",
@@ -643,8 +646,12 @@ def _checked_meta(path, env) -> Dict:
         scope = meta[parent[0]] if parent else meta
         if name not in scope:
             raise ValueError(f"{path}: meta: {key} missing")
-        if type(scope[name]) not in _JSON_TYPES[kind]:
-            raise ValueError(f"{path}: meta: {key} must be {kind}, got {scope[name]!r}")
+        value = scope[name]
+        json_kind = "integer" if kind == "count" else kind
+        if type(value) not in _JSON_TYPES[json_kind]:
+            raise ValueError(f"{path}: meta: {key} must be {json_kind}, got {value!r}")
+        if kind == "count" and value < 0:
+            raise ValueError(f"{path}: meta: {key} must be >= 0, got {value!r}")
     if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
         raise ValueError(
             f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "

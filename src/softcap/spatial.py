@@ -140,24 +140,17 @@ def orientation_error(q_a, q_b) -> np.ndarray:
 
 @dataclass
 class Pose:
-    """Rigid transform: position in meters plus a unit quaternion."""
+    """Rigid transform: position in meters plus an orientation quaternion,
+    which must be unit with w >= 0, as ``quat_normalize``, ``quat_mul``,
+    ``euler_xyz_to_quat`` and ``quat_identity`` give it.  The constructor
+    only converts both to float arrays."""
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     orientation: np.ndarray = field(default_factory=quat_identity)
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.orientation = quat_normalize(self.orientation)
-
-    @classmethod
-    def from_unit(cls, position: np.ndarray, orientation: np.ndarray) -> "Pose":
-        """Pose around a float (3,) position and a quaternion that is
-        already unit and canonical (w >= 0), taken as they are: no copy and
-        no second normalization."""
-        pose = cls.__new__(cls)
-        pose.position = position
-        pose.orientation = orientation
-        return pose
+        self.position = np.asarray(self.position, dtype=float)
+        self.orientation = np.asarray(self.orientation, dtype=float)
 
     def transform_point(self, p_local) -> np.ndarray:
         return self.position + quat_rotate(self.orientation, p_local)
@@ -221,24 +214,14 @@ def contains_points(region: ConvexRegion, region_pose: Pose, points_world, margi
 
 @dataclass
 class Obb:
-    """Oriented box: a pose plus strictly positive half extents (meters)."""
+    """Oriented box: a pose plus strictly positive half extents (meters),
+    which ``EnvConfig`` checks where they enter the program."""
 
     pose: Pose
     half_extents: np.ndarray
 
     def __post_init__(self):
-        self.half_extents = np.asarray(self.half_extents, dtype=float).reshape(3)
-        if (self.half_extents <= 0.0).any():
-            raise ValueError("box half extents must be strictly positive")
-
-    @classmethod
-    def from_valid(cls, pose: Pose, half_extents: np.ndarray) -> "Obb":
-        """Box around float (3,) half extents that already passed these
-        checks, taken as they are."""
-        box = cls.__new__(cls)
-        box.pose = pose
-        box.half_extents = half_extents
-        return box
+        self.half_extents = np.asarray(self.half_extents, dtype=float)
 
     def corners(self) -> np.ndarray:
         """The 8 world-frame corner points, shape (8, 3)."""

@@ -196,8 +196,7 @@ def test_resolve_empty_contact_list():
     body = make_body(lin_vel=(0.1, 0.0, 0.0))
     out, result = resolve_contacts(body, Obb(body.pose, [0.1] * 3), [], lambda p: np.zeros(3), DT)
     assert out is body
-    assert result.total_normal_impulse == 0.0
-    assert result.contacts == []
+    assert (result.total_normal_impulse, result.max_depth, result.residual) == (0.0, 0.0, 0.0)
 
 
 def central_hit_setup():
@@ -233,7 +232,6 @@ def test_resolve_central_hit_includes_baumgarte_bias():
     out, result = resolve_contacts(target, box, contacts, gripper_vel, DT, beta=beta)
     bias = beta * contacts[0].depth / DT
     assert abs(result.total_normal_impulse - (0.1 + bias)) < 1e-9 + 0.01 * (0.1 + bias)
-    assert result.total_normal_force == pytest.approx(result.total_normal_impulse / DT)
 
 
 def test_resolve_off_center_hit_gains_angular_velocity():
@@ -382,8 +380,7 @@ def test_resolve_single_contact_leaves_no_residual():
 def test_tactile_consistency_for_advancing_contact():
     target, box, contacts, gripper_vel = central_hit_setup()
     _, result = resolve_contacts(target, box, contacts, gripper_vel, DT)
-    assert result.total_normal_force > 0.0
-    assert len(result.contacts) >= 1
+    assert result.total_normal_impulse > 0.0
 
 
 def test_conservation_resumes_after_separation():

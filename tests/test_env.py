@@ -19,7 +19,7 @@ from softcap.env import (
     write_table,
     write_trace_csv,
 )
-from softcap.spatial import Obb, Pose
+from softcap.spatial import Pose
 
 from conftest import random_quat
 
@@ -206,6 +206,8 @@ def test_invalid_config_fails_at_construction():
         EnvConfig(action_noise_fraction=1.0)
     with pytest.raises(ValueError):
         RandomizationSpec(target_mass_range=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        EnvConfig(target_half_extents=(0.05, 0.0, 0.05))
     with pytest.raises(ValueError):
         RandomizationSpec(target_position_low=(1, 0, 0), target_position_high=(0, 0, 0))
 
@@ -425,8 +427,7 @@ def _reference_closest_pair_per_axis(g, box):
 
 def test_env_step_matches_reference_substep_loop(monkeypatch):
     # A pursuit controller on a target within reach keeps the fingers on
-    # the box.  The reference run swaps in per-sphere scalar queries and
-    # builds every body and box through the validating constructors.
+    # the box.  The reference run swaps in per-sphere scalar queries.
     cfg = EnvConfig(tactile_enabled=True, episode_length=30, success_streak_length=15,
                     randomization=RandomizationSpec(target_position_low=(0.25, -0.03, -0.03),
                                                     target_position_high=(0.35, 0.03, 0.03)))
@@ -454,8 +455,6 @@ def test_env_step_matches_reference_substep_loop(monkeypatch):
     fast_arrays, fast_values = rollout()
     monkeypatch.setattr(dynamics, "detect_contacts", _reference_detect_contacts)
     monkeypatch.setattr(dynamics, "closest_pair_per_axis", _reference_closest_pair_per_axis)
-    monkeypatch.setattr(dynamics.RigidBody, "from_valid", classmethod(lambda cls, *a: cls(*a)))
-    monkeypatch.setattr(Obb, "from_valid", classmethod(lambda cls, *a: cls(*a)))
     ref_arrays, ref_values = rollout()
 
     assert len(fast_arrays) == len(ref_arrays)

@@ -893,6 +893,9 @@ def rewrite_checkpoint(path, out, change):
      r"target_q1: shape \(\d+,\), expected \(\d+,\)", False),
     (lambda arrays, meta: arrays.update({"buffer.done": arrays["buffer.done"][:-1]}),
      r"buffer.done: shape \(79,\), expected \(80,\)", False),
+    (lambda arrays, meta: meta.update(rng_act={}), "meta: rng_act: state must be for a PCG64 RNG$", False),
+    (lambda arrays, meta: meta["rng_learn"].update(bit_generator="MT19937"),
+     "meta: rng_learn: state must be for a PCG64 RNG$", False),
 ])
 def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, message,
                                                          policy_reader_rejects):
@@ -943,6 +946,8 @@ def test_checkpoint_refuses_meta_without_a_key(tmp_path, key):
     ("episode", "2", "integer"), ("updates", 2.0, "integer"), ("tactile", 0, "boolean"),
     ("log_alpha", True, "number"), ("adam_steps", [1, 2], "object"),
     ("adam_steps.alpha", None, "integer"), ("rng_learn", "pcg64", "object"),
+    ("episode", -3, ">= 0"), ("env_steps", -5, ">= 0"), ("updates", -1, ">= 0"),
+    ("adam_steps.q1", -2, ">= 0"),
 ])
 def test_checkpoint_refuses_meta_key_of_another_type(tmp_path, key, value, kind):
     path, trainer = trained_checkpoint(tmp_path)

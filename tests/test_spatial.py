@@ -329,6 +329,8 @@ def test_spheres_obb_query_equals_scalar_query(rng):
     assert inside >= 20 and surface >= 4
     with pytest.raises(ValueError):
         spheres_obb_query(np.zeros((2, 3)), [0.1, 0.0], box)
+    with pytest.raises(ValueError):
+        sphere_obb_query(np.zeros(3), 0.0, box)
 
 
 def test_obb_corners():
