@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import sys
 import typing
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -80,10 +81,11 @@ class RunConfig:
 
 
 def _fits(value, hint) -> bool:
-    """The scalar rule: a float field accepts an int, and no number field
-    accepts a bool."""
+    """The scalar rule: a float field accepts an int, no number field
+    accepts a bool, and no field accepts a NaN or an infinity."""
     wanted = (int, float) if hint is float else hint
-    return isinstance(value, wanted) and (hint is bool or not isinstance(value, bool))
+    return (isinstance(value, wanted) and (hint is bool or not isinstance(value, bool))
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _check_scalar(name: str, value, hint) -> None:
@@ -103,7 +105,7 @@ def _check_scalar(name: str, value, hint) -> None:
             raise ValueError(f"{name} must be {len(args)} numbers, got {value!r}")
         return
     if hint in (bool, int, float, str) and not _fits(value, hint):
-        raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be {'finite ' if hint is float else ''}{hint.__name__}, got {value!r}")
 
 
 def _build_dataclass(cls, data: Dict, label: str):

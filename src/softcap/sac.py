@@ -22,7 +22,7 @@ HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # The learned quantities, each stepped by its own ``neural.AdamState``
 # (``SacAgent.opt_<name>``): the three networks and the log temperature.
 _OPTIMIZERS = ("policy", "q1", "q2", "alpha")
@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if self.batch_size < 1 or self.train_freq < 1:
             raise ValueError("batch_size and train_freq must be >= 1")
         if self.buffer_capacity < 1 or self.warmup_steps < 0:
@@ -183,10 +185,13 @@ class ReplayBuffer:
     states that do not start the following row, such as an episode's last.
     The newest row always holds a tail slot, as its successor is not known
     yet; the next ``add`` frees it when the new state equals it bit for bit.
-    Slots are taken in row order, so the tail ring, of ``capacity`` rows like
+    A new row takes the newest row's slot when that one was just freed, and
+    the slot after it (mod capacity) otherwise, the first row slot 0.  Slots
+    are thus taken in row order, so the tail ring, of ``capacity`` rows like
     the main one, reuses a slot only once the row that held it is
-    overwritten.  ``_slot`` is float64, like every checkpoint entry, so that
-    a checkpoint reads straight into it.
+    overwritten, and the rows' slots alone fix where the next one goes.
+    ``_slot`` is float64, like every checkpoint entry, so that a checkpoint
+    reads straight into it.
 
     Storage for the full capacity is allocated once, zero-filled, so the OS
     backs it with memory only as rows are written; the tail ring gets about
@@ -208,7 +213,6 @@ class ReplayBuffer:
         self._slot = np.zeros(capacity)
         self._tail = np.zeros((capacity, obs_dim))
         self._tail_size = 0
-        self._tail_cursor = 0
 
     def __len__(self) -> int:
         return self._size
@@ -216,16 +220,16 @@ class ReplayBuffer:
     def add(self, transition: Transition) -> None:
         i = self._cursor
         self._obs[i] = transition.state
+        slot = 0
         if self._size:
+            slot = int(self._slot[i - 1])
             # Bytes, not values, so that -0.0 and NaN payloads stay exact.
-            newest = int(self._slot[i - 1])
-            if self._obs[i].tobytes() == self._tail[newest].tobytes():
+            if self._obs[i].tobytes() == self._tail[slot].tobytes():
                 self._slot[i - 1] = -1.0
-                self._tail_cursor = newest
-        slot = self._tail_cursor
+            else:
+                slot = (slot + 1) % self.capacity
         self._tail[slot] = transition.next_state
         self._slot[i] = slot
-        self._tail_cursor = (slot + 1) % self.capacity
         self._tail_size = max(self._tail_size, slot + 1)
         self._action[i] = transition.action
         self._reward[i] = transition.reward
@@ -528,7 +532,7 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    # A checkpoint (format v5) is the ``neural.save_arrays`` container of the
+    # A checkpoint (format v6) is the ``neural.save_arrays`` container of the
     # table of ``checkpoint_table``, with the scalars as the header's JSON
     # meta, whose floats round-trip exactly.  ``save`` writes the table;
     # ``load`` reads each entry of the file straight into the same table of
@@ -569,7 +573,6 @@ class Trainer:
             "buffer_size": len(buf),
             "buffer_cursor": buf._cursor,
             "buffer_tail_size": buf._tail_size,
-            "buffer_tail_cursor": buf._tail_cursor,
             "rng_act": self.rng_act.bit_generator.state,
             "rng_learn": self.rng_learn.bit_generator.state,
         }
@@ -578,9 +581,10 @@ class Trainer:
     @classmethod
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
         meta = _checked_meta(path, env)
-        if meta["seed"] != config.seed:
-            raise ValueError(f"{path}: checkpoint was written with seed {meta['seed']}, "
-                             f"the run asks for seed {config.seed}")
+        for key in ("seed", "buffer_capacity"):
+            if meta[key] != getattr(config, key):
+                raise ValueError(f"{path}: checkpoint was written with {key} {meta[key]}, "
+                                 f"the run asks for {key} {getattr(config, key)}")
         policy_sizes, critic_sizes = layer_sizes(env.observation_dim, env.action_dim)
         zeros = DenseParams.zeros
         critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))
@@ -588,8 +592,13 @@ class Trainer:
         agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics, temperature, config)
         trainer = cls(env, config, agent)
         buf = trainer.buffer
-        buf._size, buf._cursor = _ring(path, meta, "buffer", "transitions", buf.capacity)
-        buf._tail_size, buf._tail_cursor = _ring(path, meta, "buffer_tail", "tail rows", buf.capacity)
+        capacity = buf.capacity
+        size, cursor, tail_size = (meta[f"buffer_{key}"] for key in ("size", "cursor", "tail_size"))
+        if not (0 <= size <= capacity and 0 <= cursor < capacity and (cursor == size or size == capacity)
+                and 0 <= tail_size <= capacity):
+            raise ValueError(f"{path}: buffer_cursor {cursor} with buffer_size {size} and buffer_tail_size "
+                             f"{tail_size} is no state of a ring of {capacity} rows (buffer_capacity)")
+        buf._size, buf._cursor, buf._tail_size = size, cursor, tail_size
         for name, opt in trainer._adam():
             opt.t = meta["adam_steps"][name]
         trainer.episode, trainer.env_steps = meta["episode"], meta["env_steps"]
@@ -600,6 +609,7 @@ class Trainer:
             except (KeyError, TypeError, ValueError) as err:
                 raise ValueError(f"{path}: meta: {key}: {err}") from None
         neural.load_arrays(path, trainer.checkpoint_table())
+        # The newest row's slot also fixes the slot the next ``add`` takes.
         slot = buf._slot[: len(buf)]
         if len(buf) and not (np.all((slot == np.floor(slot)) & (slot >= -1.0) & (slot < buf._tail_size))
                              and slot[buf._cursor - 1] >= 0.0):
@@ -626,7 +636,7 @@ _META_TYPES = {
     "log_alpha": "number", "target_entropy": "number", "adam_steps": "object",
     **{f"adam_steps.{name}": "count" for name in _OPTIMIZERS},
     "buffer_capacity": "integer", "buffer_size": "integer", "buffer_cursor": "integer",
-    "buffer_tail_size": "integer", "buffer_tail_cursor": "integer",
+    "buffer_tail_size": "integer",
     "rng_act": "object", "rng_learn": "object",
 }
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "object": (dict,)}
@@ -661,23 +671,3 @@ def _checked_meta(path, env) -> Dict:
         )
     return meta
 
-
-def _ring(path, meta: Dict, field: str, rows: str, capacity: int) -> Tuple[int, int]:
-    """The saved ``<field>_size`` and ``<field>_cursor`` of a ring, checked to
-    describe a ring of the saved ``buffer_capacity`` and to fit one of
-    ``capacity`` rows, with the cursor taken mod ``capacity``.  Only a ring
-    that never wrapped, whose rows run from 0 to its cursor, loads into
-    another capacity."""
-    saved = meta["buffer_capacity"]
-    size, cursor = meta[f"{field}_size"], meta[f"{field}_cursor"]
-    capacities = f"(saved with buffer_capacity {saved}, the run has buffer_capacity {capacity})"
-    if not (0 <= size <= saved and 0 <= cursor < saved and (cursor == size or size == saved)):
-        raise ValueError(f"{path}: {field}_cursor {cursor} with {field}_size {size} is no state "
-                         f"of a ring of {saved} rows {capacities}")
-    if size > capacity:
-        raise ValueError(f"{path}: saved buffer holds {size} {rows}, more than its capacity of "
-                         f"{capacity} (buffer_capacity)")
-    if cursor != size and saved != capacity:
-        raise ValueError(f"{path}: {field}_cursor {cursor}: the saved ring has wrapped, so it loads "
-                         f"only into its own capacity {capacities}")
-    return size, cursor % capacity

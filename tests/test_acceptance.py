@@ -6,17 +6,14 @@ smoke scale (the full-scale run stays an optional, documented mode).
 """
 
 import csv
-import json
 import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
-import yaml
 
 from softcap import dynamics, harness, neural, sac, spatial
 from softcap.dynamics import box_inertia_diag, resolve_contacts, step_free_body
-from softcap.env import EnvConfig, SoftCaptureEnv, compute_reward
+from softcap.env import SoftCaptureEnv, compute_reward
 from softcap.spatial import Obb, Pose, contains_point
 
 from conftest import (

@@ -85,10 +85,29 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 
 def test_load_config_rejects_invalid_values(tmp_path):
+    nan, inf = float("nan"), float("inf")
     path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump({"env": {"action_noise_fraction": 1.5}}))
-    with pytest.raises(ValueError):
-        load_config("train", str(path))
+    for data, named in [
+        ({"env": {"action_noise_fraction": 1.5}}, "action_noise_fraction"),
+        # A NaN margin would pass every range check and zero r_surr.
+        ({"env": {"containment_margin": nan}}, "env.containment_margin must be finite float, got nan"),
+        ({"env": {"control_dt": inf}}, "env.control_dt must be finite float, got inf"),
+        ({"env": {"action_limits": {"max_translation_step": nan}}},
+         "env.action_limits.max_translation_step must be finite float, got nan"),
+        ({"env": {"target_half_extents": [0.05, -inf, 0.05]}}, "env.target_half_extents must be 3 numbers"),
+        ({"env": {"randomization": {"target_mass_range": [nan, 2.0]}}},
+         "env.randomization.target_mass_range must be 2 numbers"),
+        ({"train": {"target_entropy": nan}}, "train.target_entropy must be finite float, got nan"),
+        ({"train": {"initial_log_alpha": inf}}, "train.initial_log_alpha must be finite float, got inf"),
+        ({"train": {"learning_rate": -0.001}}, "learning_rate must be > 0, got -0.001"),
+        ({"train": {"learning_rate": 0}}, "learning_rate must be > 0, got 0"),
+    ]:
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_config("train", str(path))
+    for learning_rate in (-0.001, 0.0, nan):
+        with pytest.raises(ValueError, match="learning_rate must be > 0"):
+            sac.TrainConfig(learning_rate=learning_rate)
 
 
 def test_load_config_scalar_type_rules(tmp_path):
@@ -609,6 +628,9 @@ def test_cli_bad_config_fails_loudly(tmp_path, capsys):
      "env.randomization.target_mass_range must be 2 numbers, got [1.0]"),
     ("env", "randomization", {"target_position_low": [0.4, "a", 0.0]},
      "env.randomization.target_position_low must be 3 numbers, got [0.4, 'a', 0.0]"),
+    ("env", "containment_margin", float("nan"), "env.containment_margin must be finite float, got nan"),
+    ("train", "learning_rate", 0, "learning_rate must be > 0, got 0"),
+    ("train", "learning_rate", -0.001, "learning_rate must be > 0, got -0.001"),
 ])
 def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, section, key, value, named):
     data = small_run_dict(tmp_path / "out")

@@ -2,7 +2,7 @@ import math
 import re
 import struct
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from softcap.sac import (
     critic_target,
     critic_value,
     deterministic_action,
-    policy_loss_and_grads,
     sample_action,
     soft_update,
     temperature_loss_and_grad,
@@ -542,18 +541,26 @@ def test_buffer_checkpoint_round_trip(tmp_path):
     assert restored._cursor == buf._cursor == 3
     # No transition continues the one before, so every row keeps a tail
     # slot and the tail ring has wrapped as the main one has.
-    assert (restored._tail_size, restored._tail_cursor) == (buf._tail_size, buf._tail_cursor) == (8, 3)
+    assert restored._tail_size == buf._tail_size == 8
     for name in BUFFER_ROWS:
         assert np.array_equal(getattr(restored, name)[: len(buf)], getattr(buf, name)[: len(buf)]), name
     assert np.array_equal(restored._tail[:8], buf._tail[:8])
     a, b = (r.sample(np.random.default_rng(3), 64) for r in (buf, restored))
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
-
-
-def test_buffer_restore_into_smaller_capacity_rejected(tmp_path):
-    path, _ = saved_buffer(tmp_path, capacity=8, n=6)
-    with pytest.raises(ValueError, match="6 transitions.*capacity of 4"):
-        load_buffer(path, capacity=4)
+    # Both go on with the same transitions, two in three of which continue
+    # the one before and so free its tail slot: the restored buffer places
+    # each next state where the never-saved one does.
+    for i in range(11, 27):
+        transition = fill_transition(i, buf.obs_dim, buf.action_dim)
+        if i % 3:
+            transition = transition._replace(state=np.full(buf.obs_dim, i - 0.5))
+        buf.add(transition)
+        restored.add(transition)
+        a, b = (r.sample(np.random.default_rng(i), 64) for r in (buf, restored))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b)), i
+    assert np.count_nonzero(buf._slot == -1.0) == 5
+    for name in (*BUFFER_ROWS, "_tail"):
+        assert getattr(restored, name).tobytes() == getattr(buf, name).tobytes(), name
 
 
 def test_buffer_restore_then_add_keeps_storage(tmp_path):
@@ -565,42 +572,30 @@ def test_buffer_restore_then_add_keeps_storage(tmp_path):
     assert len(restored) == 41
     assert np.array_equal(restored._reward[:41], np.arange(41.0))
     assert np.array_equal(restored._slot[:41], np.arange(41.0))
-    assert (restored._tail_size, restored._tail_cursor) == (41, 41)
+    assert restored._tail_size == 41
     assert np.array_equal(restored._tail[:41, 0], np.arange(41.0) + 0.5)
 
 
-def test_wrapped_buffer_refuses_larger_capacity(tmp_path):
-    # Resumed into 100 rows, the ring's next adds would overwrite valid rows
-    # 10-49 while rows 30-99, never written, joined the samples.
-    path, _ = saved_buffer(tmp_path, capacity=30, n=40)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: buffer_cursor 10: the saved ring "
-                                         r"has wrapped.*buffer_capacity 30, the run has buffer_capacity 100"):
-        load_buffer(path, capacity=100)
-
-
-def test_unwrapped_buffer_loads_into_any_capacity_it_fits(tmp_path):
-    path, buf = saved_buffer(tmp_path, capacity=30, n=20)
-    for capacity in (20, 100):
-        restored = load_buffer(path, capacity)
-        assert (len(restored), restored._cursor) == (20, 20 % capacity)
-        a, b = (r.sample(np.random.default_rng(5), 64) for r in (buf, restored))
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
-        restored.add(fill_transition(20, buf.obs_dim, buf.action_dim))
-        kept = sorted(restored._reward[: len(restored)])
-        assert kept == list(range(1 if capacity == 20 else 0, 21))
+# A checkpoint resumes only into the capacity it was written with, as only
+# that run continues it; wrapped or not, smaller or larger, any other is refused.
+@pytest.mark.parametrize("saved, n, capacity", [(8, 6, 4), (30, 40, 100), (30, 20, 20), (30, 20, 100)])
+def test_buffer_restore_into_another_capacity_rejected(tmp_path, saved, n, capacity):
+    path, _ = saved_buffer(tmp_path, capacity=saved, n=n)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint was written with "
+                                         f"buffer_capacity {saved}, the run asks for buffer_capacity {capacity}$"):
+        load_buffer(path, capacity)
 
 
 @pytest.mark.parametrize("n, field, value, message", [
-    (40, "buffer_cursor", 50, "buffer_cursor 50 with buffer_size 30"),
-    (25, "buffer_cursor", 3, "buffer_cursor 3 with buffer_size 25"),
-    (40, "buffer_tail_cursor", 30, "buffer_tail_cursor 30 with buffer_tail_size 30"),
-    (25, "buffer_tail_size", 31, "buffer_tail_cursor 25 with buffer_tail_size 31"),
+    (40, "buffer_cursor", 50, "buffer_cursor 50 with buffer_size 30 and buffer_tail_size 30"),
+    (25, "buffer_cursor", 3, "buffer_cursor 3 with buffer_size 25 and buffer_tail_size 25"),
+    (25, "buffer_tail_size", 31, "buffer_cursor 25 with buffer_size 25 and buffer_tail_size 31"),
 ])
 def test_buffer_meta_out_of_range_rejected(tmp_path, n, field, value, message):
     path, _ = saved_buffer(tmp_path, capacity=30, n=n)
     bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", lambda arrays, meta: meta.update({field: value}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message} is no state of a ring of 30 rows "
-                                         r"\(saved with buffer_capacity 30, the run has buffer_capacity 30\)"):
+                                         r"\(buffer_capacity\)$"):
         load_buffer(bad, capacity=30)
 
 
@@ -917,7 +912,7 @@ def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, messa
 META_KEYS = ["seed", "obs_dim", "action_dim", "tactile", "episode", "env_steps", "updates",
              "log_alpha", "target_entropy", "adam_steps", "adam_steps.policy", "adam_steps.q1",
              "adam_steps.q2", "adam_steps.alpha", "buffer_capacity", "buffer_size", "buffer_cursor",
-             "buffer_tail_size", "buffer_tail_cursor", "rng_act", "rng_learn"]
+             "buffer_tail_size", "rng_act", "rng_learn"]
 
 
 def meta_scope(meta, key):

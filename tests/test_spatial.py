@@ -23,7 +23,7 @@ from softcap.spatial import (
     spheres_obb_query,
 )
 
-from conftest import hull_contains, random_quat, rot_x, rot_y, rot_z
+from conftest import hull_contains, random_quat, rot_x, rot_z
 
 
 # ---------------------------------------------------------------- quaternions
