@@ -12,6 +12,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import spatial
+from .checks import require_finite
 from .spatial import Contact, ConvexRegion, Obb, Pose, quat_mul, quat_normalize, quat_to_matrix
 
 # Contact solver defaults: fixed iteration count, Baumgarte velocity bias.
@@ -100,6 +101,7 @@ class ActionLimits:
     def __post_init__(self):
         if self.max_translation_step <= 0.0 or self.max_rotation_step <= 0.0:
             raise ValueError("action limits must be > 0")
+        require_finite(self)
 
 
 class ContactResult(NamedTuple):
@@ -308,7 +310,12 @@ def resolve_contacts(
 
     resolved = RigidBody(target.pose, np.array([vx, vy, vz]), rot.T @ np.array([wx, wy, wz]),
                          target.mass, target.inertia_diag)
-    return resolved, ContactResult(sum(impulses), max(c.depth for c in contacts), residual)
+    # Left to right in a plain loop: the builtin sum compensates its rounding
+    # from Python 3.12 on, so its last bit depends on the interpreter.
+    total = 0.0
+    for j in impulses:
+        total += j
+    return resolved, ContactResult(total, max(c.depth for c in contacts), residual)
 
 
 def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dynamics, spatial
+from .checks import require_finite
 from .dynamics import ActionLimits, GripperBody, RigidBody
 from .files import replacing
 from .spatial import ConvexRegion, Obb, Pose
@@ -69,6 +70,7 @@ class RandomizationSpec:
             raise ValueError("target mass range must satisfy 0 < low <= high")
         if self.obs_position_noise < 0.0 or self.obs_velocity_noise < 0.0:
             raise ValueError("observation noise half-widths must be >= 0")
+        require_finite(self)
 
 
 @dataclass
@@ -104,6 +106,7 @@ class EnvConfig:
                 raise ValueError(f"{name} must have 3 entries, got {getattr(self, name)!r}")
         if np.any(np.asarray(self.target_half_extents, dtype=float) <= 0.0):
             raise ValueError("target_half_extents must be strictly positive")
+        require_finite(self)
 
 
 @dataclass

@@ -48,6 +48,10 @@ class CompareSpec:
     tactile_b: bool = False
     train_episodes: Optional[int] = None
 
+    def __post_init__(self):
+        if self.train_episodes is not None and self.train_episodes < 0:
+            raise ValueError(f"compare.train_episodes must be >= 0, got {self.train_episodes}")
+
 
 @dataclass
 class RunConfig:

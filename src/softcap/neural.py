@@ -301,51 +301,67 @@ def save_arrays(path, arrays: Dict[str, np.ndarray], meta) -> None:
             fh.write(arr.data)
 
 
+def read_header(path) -> Tuple[object, Dict[str, Tuple[int, ...]]]:
+    """The meta and the entry shapes of a file written by ``save_arrays``,
+    checked as ``load_arrays`` checks them; no entry is read."""
+    with open(path, "rb") as fh:
+        meta, layout = _read_header(path, fh)
+    return meta, {name: shape for name, (_, shape) in layout.items()}
+
+
+def _read_header(path, fh) -> Tuple[object, Dict[str, Tuple[int, Tuple[int, ...]]]]:
+    """The meta and each entry's offset and shape, from the open file
+    ``fh`` of ``path``; the header is checked against the file's length, so
+    a file cut short, or with bytes after its last entry, is rejected with
+    its path and the entry concerned."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(_PREFIX.size)
+    if prefix[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(prefix) < _PREFIX.size:
+        raise ValueError(f"{path}: header: truncated, {_PREFIX.size} bytes needed but {size} left")
+    _, version, header_len = _PREFIX.unpack(prefix)
+    if version != _VERSION:
+        raise ValueError(f"{path}: checkpoint container v{version}, this program reads v{_VERSION}")
+    offset = _PREFIX.size + header_len
+    if offset > size:
+        raise ValueError(f"{path}: header: truncated, {header_len} bytes needed at offset "
+                         f"{_PREFIX.size} but {size - _PREFIX.size} left")
+    try:
+        header = json.loads(fh.read(header_len))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: not JSON ({exc})") from None
+    entries = header.get("entries") if isinstance(header, dict) else None
+    if not (isinstance(entries, list) and "meta" in header and all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+            for entry in entries)):
+        raise ValueError(f"{path}: header: not an object of a meta and [name, shape] entries, "
+                         f"each name a string and each shape a list of non-negative ints")
+    layout = {}
+    for name, shape in entries:
+        nbytes = 8 * math.prod(shape)
+        if offset + nbytes > size:
+            raise ValueError(f"{path}: {name}: truncated, {nbytes} bytes needed at offset "
+                             f"{offset} but {size - offset} left")
+        layout[name] = (offset, tuple(shape))
+        offset += nbytes
+    if offset != size:
+        raise ValueError(f"{path}: {size - offset} bytes after the last entry")
+    return header["meta"], layout
+
+
 def load_arrays(path, into: Optional[Dict[str, np.ndarray]] = None) -> Tuple[object, Dict[str, np.ndarray]]:
     """Read a file written by ``save_arrays``: return its meta and entries.
 
     By default every entry is read into a new array.  With ``into``, only
     the entries it names are read, each straight into the C-contiguous
     float64 array it maps to, whose shape must match; ``into={}`` reads the
-    meta alone.  The header is checked against the file's length before any
-    entry is read, so a file cut short, or with bytes after its last entry,
-    is rejected with its path and the entry concerned.
+    meta alone.  The whole header is checked, by ``read_header``'s rules,
+    before any entry is read.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(_PREFIX.size)
-        if prefix[:4] != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        if len(prefix) < _PREFIX.size:
-            raise ValueError(f"{path}: header: truncated, {_PREFIX.size} bytes needed but {size} left")
-        _, version, header_len = _PREFIX.unpack(prefix)
-        if version != _VERSION:
-            raise ValueError(f"{path}: checkpoint container v{version}, this program reads v{_VERSION}")
-        offset = _PREFIX.size + header_len
-        if offset > size:
-            raise ValueError(f"{path}: header: truncated, {header_len} bytes needed at offset "
-                             f"{_PREFIX.size} but {size - _PREFIX.size} left")
-        try:
-            header = json.loads(fh.read(header_len))
-        except ValueError as exc:
-            raise ValueError(f"{path}: header: not JSON ({exc})") from None
-        entries = header.get("entries") if isinstance(header, dict) else None
-        if not (isinstance(entries, list) and "meta" in header and all(
-                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
-                for entry in entries)):
-            raise ValueError(f"{path}: header: not an object of a meta and [name, shape] entries, "
-                             f"each name a string and each shape a list of non-negative ints")
-        layout = {}
-        for name, shape in entries:
-            nbytes = 8 * math.prod(shape)
-            if offset + nbytes > size:
-                raise ValueError(f"{path}: {name}: truncated, {nbytes} bytes needed at offset "
-                                 f"{offset} but {size - offset} left")
-            layout[name] = (offset, tuple(shape))
-            offset += nbytes
-        if offset != size:
-            raise ValueError(f"{path}: {size - offset} bytes after the last entry")
+        meta, layout = _read_header(path, fh)
         if into is None:
             into = {name: np.empty(shape, dtype="<f8") for name, (_, shape) in layout.items()}
         absent = [name for name in into if name not in layout]
@@ -358,5 +374,4 @@ def load_arrays(path, into: Optional[Dict[str, np.ndarray]] = None) -> Tuple[obj
             fh.seek(at)
             if fh.readinto(dst) != dst.nbytes:
                 raise ValueError(f"{path}: file changed size while being read")
-    return header["meta"], into
-
+    return meta, into

@@ -16,13 +16,14 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import neural
+from .checks import require_finite
 from .neural import AdamState, DenseParams, Workspace
 
 HIDDEN_SIZES = (256, 256)
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # The learned quantities, each stepped by its own ``neural.AdamState``
 # (``SacAgent.opt_<name>``): the three networks and the log temperature.
 _OPTIMIZERS = ("policy", "q1", "q2", "alpha")
@@ -55,6 +56,7 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be >= 1 and warmup_steps >= 0")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
+        require_finite(self)
 
 
 def layer_sizes(obs_dim: int, action_dim: int) -> Tuple[List[int], List[int]]:
@@ -258,14 +260,23 @@ class ReplayBuffer:
 # Temperature
 @dataclass
 class Temperature:
-    """Trainable entropy weight, alpha = exp(log_alpha) > 0 by construction."""
+    """Trainable entropy weight, alpha = exp(log_alpha) > 0 by construction.
+    ``log_alpha`` is a 1-element float64 array, which ``SacAgent.opt_alpha``
+    steps in place."""
 
-    log_alpha: float
+    log_alpha: np.ndarray
     target_entropy: float
+
+    @classmethod
+    def initial(cls, config: TrainConfig, action_dim: int) -> "Temperature":
+        """The temperature a run of ``config`` starts from; the target
+        entropy defaults to -action_dim."""
+        target_entropy = -float(action_dim) if config.target_entropy is None else config.target_entropy
+        return cls(np.array([config.initial_log_alpha], dtype=float), target_entropy)
 
     @property
     def alpha(self) -> float:
-        return math.exp(self.log_alpha)
+        return math.exp(self.log_alpha[0])
 
 
 # ----------------------------------------------------------------------
@@ -385,11 +396,7 @@ class SacAgent:
         policy = PolicyNet(neural.init_params(seeds[0], policy_sizes), action_dim)
         q1, q2 = (neural.init_params(s, critic_sizes) for s in seeds[1:])
         critics = TwinCritics(q1, q2, target_q1=q1.clone(), target_q2=q2.clone())
-        target_entropy = config.target_entropy
-        if target_entropy is None:
-            target_entropy = -float(action_dim)
-        temperature = Temperature(log_alpha=config.initial_log_alpha, target_entropy=target_entropy)
-        return cls(policy, critics, temperature, config)
+        return cls(policy, critics, Temperature.initial(config, action_dim), config)
 
     # -------------------------------------------------------- updates
     def update_critics(self, batch: Batch, y: np.ndarray) -> Tuple[float, float]:
@@ -410,12 +417,10 @@ class SacAgent:
         return loss, log_prob
 
     def update_temperature(self, log_prob: np.ndarray) -> float:
-        loss, grad = temperature_loss_and_grad(
-            self.temperature.log_alpha, log_prob, self.temperature.target_entropy
-        )
-        log_alpha = np.array([self.temperature.log_alpha])
+        log_alpha = self.temperature.log_alpha
+        loss, grad = temperature_loss_and_grad(float(log_alpha[0]), log_prob,
+                                               self.temperature.target_entropy)
         neural.adam_step(log_alpha, np.array([grad]), self.opt_alpha, lr=self.config.learning_rate)
-        self.temperature.log_alpha = float(log_alpha[0])
         return loss
 
     def update(self, batch: Batch, rng: np.random.Generator) -> UpdateInfo:
@@ -532,21 +537,25 @@ class Trainer:
         )
 
     # -------------------------------------------------------- persistence
-    # A checkpoint (format v6) is the ``neural.save_arrays`` container of the
-    # table of ``checkpoint_table``, with the scalars as the header's JSON
-    # meta, whose floats round-trip exactly.  ``save`` writes the table;
-    # ``load`` reads each entry of the file straight into the same table of
-    # a zero-filled trainer.
+    # A checkpoint (format v7) is the ``neural.save_arrays`` container of the
+    # table of ``checkpoint_table``, with the scalars that no entry implies as
+    # the header's JSON meta.  The network widths and the buffer's row and
+    # tail counts are the entries' shapes, every Adam step count is
+    # ``updates`` (each update steps all four optimizers once), and the
+    # target entropy and the rest of the learner settings come from the
+    # config.  ``save`` writes the table; ``load`` reads each entry of the
+    # file straight into the same table of a zero-filled trainer.
     def _adam(self):
         return [(name, getattr(self.agent, f"opt_{name}")) for name in _OPTIMIZERS]
 
     def checkpoint_table(self) -> Dict[str, np.ndarray]:
         """Checkpoint entry name -> the live array it saves and restores:
-        each network and Adam moment whole, the buffer's filled rows and
-        the tail rows in use."""
+        each network, Adam moment and the log temperature whole, the
+        buffer's filled rows and the tail rows in use."""
         critics, buf = self.agent.critics, self.buffer
         table = {"policy": self.agent.policy.params.flat, "q1": critics.q1.flat, "q2": critics.q2.flat,
-                 "target_q1": critics.target_q1.flat, "target_q2": critics.target_q2.flat}
+                 "target_q1": critics.target_q1.flat, "target_q2": critics.target_q2.flat,
+                 "log_alpha": self.agent.temperature.log_alpha}
         for name, opt in self._adam():
             table[f"adam.{name}.m"] = opt.m
             table[f"adam.{name}.v"] = opt.v
@@ -556,31 +565,16 @@ class Trainer:
         return table
 
     def save(self, path) -> None:
-        temperature, buf = self.agent.temperature, self.buffer
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "obs_dim": self.env.observation_dim,
-            "action_dim": self.env.action_dim,
-            "tactile": bool(self.env.config.tactile_enabled),
-            "seed": self.config.seed,
-            "episode": self.episode,
-            "env_steps": self.env_steps,
-            "updates": self.updates,
-            "log_alpha": temperature.log_alpha,
-            "target_entropy": temperature.target_entropy,
-            "adam_steps": {name: opt.t for name, opt in self._adam()},
-            "buffer_capacity": buf.capacity,
-            "buffer_size": len(buf),
-            "buffer_cursor": buf._cursor,
-            "buffer_tail_size": buf._tail_size,
-            "rng_act": self.rng_act.bit_generator.state,
-            "rng_learn": self.rng_learn.bit_generator.state,
-        }
+        meta = {"version": CHECKPOINT_VERSION, "seed": self.config.seed,
+                "buffer_capacity": self.buffer.capacity, "buffer_cursor": self.buffer._cursor,
+                "episode": self.episode, "env_steps": self.env_steps, "updates": self.updates,
+                "rng_act": self.rng_act.bit_generator.state,
+                "rng_learn": self.rng_learn.bit_generator.state}
         neural.save_arrays(path, self.checkpoint_table(), meta)
 
     @classmethod
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
-        meta = _checked_meta(path, env)
+        meta, size, tail_size = _checked_header(path, env)
         for key in ("seed", "buffer_capacity"):
             if meta[key] != getattr(config, key):
                 raise ValueError(f"{path}: checkpoint was written with {key} {meta[key]}, "
@@ -588,19 +582,19 @@ class Trainer:
         policy_sizes, critic_sizes = layer_sizes(env.observation_dim, env.action_dim)
         zeros = DenseParams.zeros
         critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))
-        temperature = Temperature(float(meta["log_alpha"]), float(meta["target_entropy"]))
-        agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics, temperature, config)
+        agent = SacAgent(PolicyNet(zeros(policy_sizes), env.action_dim), critics,
+                         Temperature.initial(config, env.action_dim), config)
         trainer = cls(env, config, agent)
         buf = trainer.buffer
-        capacity = buf.capacity
-        size, cursor, tail_size = (meta[f"buffer_{key}"] for key in ("size", "cursor", "tail_size"))
-        if not (0 <= size <= capacity and 0 <= cursor < capacity and (cursor == size or size == capacity)
-                and 0 <= tail_size <= capacity):
-            raise ValueError(f"{path}: buffer_cursor {cursor} with buffer_size {size} and buffer_tail_size "
-                             f"{tail_size} is no state of a ring of {capacity} rows (buffer_capacity)")
+        capacity, cursor = buf.capacity, meta["buffer_cursor"]
+        if not (size <= capacity and tail_size <= capacity and 0 <= cursor < capacity
+                and (cursor == size or size == capacity)):
+            raise ValueError(f"{path}: buffer_cursor {cursor} with buffer.obs of {size} rows and "
+                             f"buffer.tail of {tail_size} rows is no state of a ring of {capacity} rows "
+                             f"(buffer_capacity)")
         buf._size, buf._cursor, buf._tail_size = size, cursor, tail_size
-        for name, opt in trainer._adam():
-            opt.t = meta["adam_steps"][name]
+        for _, opt in trainer._adam():
+            opt.t = meta["updates"]
         trainer.episode, trainer.env_steps = meta["episode"], meta["env_steps"]
         trainer.updates = meta["updates"]
         for key in ("rng_act", "rng_learn"):
@@ -613,61 +607,61 @@ class Trainer:
         slot = buf._slot[: len(buf)]
         if len(buf) and not (np.all((slot == np.floor(slot)) & (slot >= -1.0) & (slot < buf._tail_size))
                              and slot[buf._cursor - 1] >= 0.0):
-            raise ValueError(f"{path}: buffer.slot: a slot is neither -1 nor a tail row below "
-                             f"buffer_tail_size {buf._tail_size}, or the newest row has none")
+            raise ValueError(f"{path}: buffer.slot: a slot is neither -1 nor one of the {buf._tail_size} "
+                             f"rows of buffer.tail, or the newest row has none")
         return trainer
 
     @staticmethod
     def load_policy(path, env) -> PolicyNet:
         """Just the policy of the checkpoint at ``path``, for evaluation in
         ``env``; no other entry of the file is read."""
-        _checked_meta(path, env)
+        _checked_header(path, env)
         policy = PolicyNet(DenseParams.zeros(layer_sizes(env.observation_dim, env.action_dim)[0]),
                            env.action_dim)
         neural.load_arrays(path, {"policy": policy.params.flat})
         return policy
 
 
-# Every meta key ``Trainer.load`` reads, with its JSON type; a dotted key
-# names a member of the object before the dot.  A count is an integer >= 0.
+# Every meta key ``Trainer.load`` reads, with its JSON type.  A count is an
+# integer >= 0.
 _META_TYPES = {
-    "seed": "integer", "obs_dim": "integer", "action_dim": "integer", "tactile": "boolean",
+    "seed": "integer", "buffer_capacity": "integer", "buffer_cursor": "integer",
     "episode": "count", "env_steps": "count", "updates": "count",
-    "log_alpha": "number", "target_entropy": "number", "adam_steps": "object",
-    **{f"adam_steps.{name}": "count" for name in _OPTIMIZERS},
-    "buffer_capacity": "integer", "buffer_size": "integer", "buffer_cursor": "integer",
-    "buffer_tail_size": "integer",
     "rng_act": "object", "rng_learn": "object",
 }
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "object": (dict,)}
+_JSON_TYPES = {"integer": int, "object": dict}
 
 
-def _checked_meta(path, env) -> Dict:
-    """The meta of the checkpoint at ``path``, which must be of this format,
-    hold every key of ``_META_TYPES`` with its type, and be of the network
-    widths ``env`` needs."""
-    meta, _ = neural.load_arrays(path, {})
+def _checked_header(path, env) -> Tuple[Dict, int, int]:
+    """The meta of the checkpoint at ``path`` and the row counts of its
+    ``buffer.obs`` and ``buffer.tail``.  The file must be of this format,
+    its meta must hold every key of ``_META_TYPES`` with its type, and
+    ``buffer.obs`` and ``buffer.action`` must be of the widths ``env``
+    needs."""
+    meta, shapes = neural.read_header(path)
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint format v{version}, "
                          f"this program reads v{CHECKPOINT_VERSION}")
     for key, kind in _META_TYPES.items():
-        *parent, name = key.split(".")
-        scope = meta[parent[0]] if parent else meta
-        if name not in scope:
+        if key not in meta:
             raise ValueError(f"{path}: meta: {key} missing")
-        value = scope[name]
+        value = meta[key]
         json_kind = "integer" if kind == "count" else kind
-        if type(value) not in _JSON_TYPES[json_kind]:
+        if type(value) is not _JSON_TYPES[json_kind]:
             raise ValueError(f"{path}: meta: {key} must be {json_kind}, got {value!r}")
         if kind == "count" and value < 0:
             raise ValueError(f"{path}: meta: {key} must be >= 0, got {value!r}")
-    if (meta["obs_dim"], meta["action_dim"]) != (env.observation_dim, env.action_dim):
+    for name in ("buffer.obs", "buffer.action", "buffer.tail"):
+        if name not in shapes:
+            raise ValueError(f"{path}: {name}: entry missing")
+        if len(shapes[name]) != 2:
+            raise ValueError(f"{path}: {name}: shape {shapes[name]}, expected (rows, width)")
+    (size, obs_dim), (_, action_dim) = shapes["buffer.obs"], shapes["buffer.action"]
+    if (obs_dim, action_dim) != (env.observation_dim, env.action_dim):
         raise ValueError(
-            f"{path}: checkpoint has obs/action widths ({meta['obs_dim']}, {meta['action_dim']}) "
-            f"with tactile={meta['tactile']}, the environment has ({env.observation_dim}, "
-            f"{env.action_dim}) with tactile={env.config.tactile_enabled}; "
-            f"fix the --tactile flag or the checkpoint"
+            f"{path}: checkpoint has obs/action widths ({obs_dim}, {action_dim}) in "
+            f"buffer.obs/buffer.action, the environment has ({env.observation_dim}, {env.action_dim}) "
+            f"with tactile={env.config.tactile_enabled}; fix the --tactile flag or the checkpoint"
         )
-    return meta
-
+    return meta, size, shapes["buffer.tail"][0]

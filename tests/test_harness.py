@@ -14,7 +14,8 @@ import pytest
 import yaml
 
 from softcap import cli, harness, sac
-from softcap.env import SoftCaptureEnv, table_row
+from softcap.dynamics import ActionLimits
+from softcap.env import EnvConfig, RandomizationSpec, SoftCaptureEnv, table_row
 from softcap.harness import RunConfig, load_config, run_compare, run_eval, run_replay_export, run_train
 
 
@@ -108,6 +109,16 @@ def test_load_config_rejects_invalid_values(tmp_path):
     for learning_rate in (-0.001, 0.0, nan):
         with pytest.raises(ValueError, match="learning_rate must be > 0"):
             sac.TrainConfig(learning_rate=learning_rate)
+    # Built directly, outside load_config, each config refuses them too.
+    for build, named in [
+        (lambda: EnvConfig(containment_margin=nan, control_dt=inf), "control_dt must be finite, got inf"),
+        (lambda: sac.TrainConfig(target_entropy=nan, initial_log_alpha=inf),
+         "target_entropy must be finite, got nan"),
+        (lambda: RandomizationSpec(obs_position_noise=nan), "obs_position_noise must be finite, got nan"),
+        (lambda: ActionLimits(max_translation_step=inf), "max_translation_step must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            build()
 
 
 def test_load_config_scalar_type_rules(tmp_path):
@@ -475,6 +486,17 @@ def test_metrics_csv_rows_are_the_trainer_metrics(tmp_path):
     assert rows == [table_row(astuple(m)) for m in metrics]
 
 
+def test_compare_rejects_negative_train_episodes(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"compare": {"train_episodes": -1}}))
+    with pytest.raises(ValueError, match="compare.train_episodes must be >= 0, got -1"):
+        load_config("compare", str(path))
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    assert "compare.train_episodes must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_rejects_top_level_checkpoint(tmp_path):
     # Arms take their checkpoints from the compare section only.
     with pytest.raises(ValueError, match="compare.checkpoint_a"):
@@ -670,7 +692,7 @@ def test_cli_resume_refuses_checkpoint_of_other_tactile_flag(tmp_path):
     code = cli.main(["train", "--config", str(cfg_path), "--checkpoint", ckpt, "--tactile", "off"])
     assert code == 1
     error = json.loads((tmp_path / "resume" / "run_manifest.json").read_text())["error"]
-    for part in (ckpt, "(40, 6)", "tactile=True", "(39, 6)", "tactile=False"):
+    for part in (ckpt, "(40, 6) in buffer.obs/buffer.action", "(39, 6)", "tactile=False"):
         assert part in error
 
 

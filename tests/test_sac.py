@@ -256,7 +256,7 @@ def test_policy_update_converges_to_critic_argmax(rng):
     q = absolute_value_critic(OBS_DIM)
     agent.critics.q1 = q
     agent.critics.q2 = q.clone()
-    agent.temperature.log_alpha = -1e9  # alpha == 0 in double precision
+    agent.temperature.log_alpha[0] = -1e9  # alpha == 0 in double precision
     obs = rng.standard_normal((32, OBS_DIM))
     batch = Batch(obs=obs, action=np.zeros((32, 1)), reward=np.zeros(32),
                   next_obs=obs, done=np.zeros(32))
@@ -343,12 +343,11 @@ def test_temperature_moves_with_entropy_error(rng):
 
 
 def test_alpha_stays_positive_under_extreme_gradients():
-    t = Temperature(log_alpha=0.0, target_entropy=-2.0)
+    t = Temperature(log_alpha=np.zeros(1), target_entropy=-2.0)
     agent_opt = neural.AdamState.zeros(1)
-    x = np.array([t.log_alpha])
     for g in (1e9, -1e9, 1e9, 3.0, -7.0):
-        neural.adam_step(x, np.array([g]), agent_opt, lr=0.5)
-        assert math.exp(x[0]) > 0.0
+        neural.adam_step(t.log_alpha, np.array([g]), agent_opt, lr=0.5)
+        assert t.alpha > 0.0
 
 
 # ---------------------------------------------------------------- soft updates
@@ -447,7 +446,7 @@ def test_update_matches_allocating_reference_bitwise(monkeypatch):
         pairs += [(opt.m, ref_opt.m), (opt.v, ref_opt.v)]
     for got, want in pairs:
         assert got.tobytes() == want.tobytes()
-    assert struct.pack("<d", agent.temperature.log_alpha) == struct.pack("<d", ref.temperature.log_alpha)
+    assert agent.temperature.log_alpha.tobytes() == ref.temperature.log_alpha.tobytes()
 
 
 def test_critic_grads_without_workspace_are_fresh(rng):
@@ -587,9 +586,8 @@ def test_buffer_restore_into_another_capacity_rejected(tmp_path, saved, n, capac
 
 
 @pytest.mark.parametrize("n, field, value, message", [
-    (40, "buffer_cursor", 50, "buffer_cursor 50 with buffer_size 30 and buffer_tail_size 30"),
-    (25, "buffer_cursor", 3, "buffer_cursor 3 with buffer_size 25 and buffer_tail_size 25"),
-    (25, "buffer_tail_size", 31, "buffer_cursor 25 with buffer_size 25 and buffer_tail_size 31"),
+    (40, "buffer_cursor", 50, "buffer_cursor 50 with buffer.obs of 30 rows and buffer.tail of 30 rows"),
+    (25, "buffer_cursor", 3, "buffer_cursor 3 with buffer.obs of 25 rows and buffer.tail of 25 rows"),
 ])
 def test_buffer_meta_out_of_range_rejected(tmp_path, n, field, value, message):
     path, _ = saved_buffer(tmp_path, capacity=30, n=n)
@@ -599,13 +597,29 @@ def test_buffer_meta_out_of_range_rejected(tmp_path, n, field, value, message):
         load_buffer(bad, capacity=30)
 
 
+# The buffer's row and tail counts are its entries' shapes: an entry whose
+# rows disagree with buffer.obs's, or a count above the capacity, is refused
+# with the entry named.
+@pytest.mark.parametrize("name, rows, message", [
+    ("buffer.action", 24, r"buffer.action: shape \(24, \d+\), expected \(25, \d+\)$"),
+    ("buffer.obs", 31, "buffer_cursor 25 with buffer.obs of 31 rows and buffer.tail of 25 rows is no"),
+    ("buffer.tail", 31, "buffer_cursor 25 with buffer.obs of 25 rows and buffer.tail of 31 rows is no"),
+], ids=["buffer.action", "buffer.obs", "buffer.tail"])
+def test_buffer_rows_out_of_range_rejected(tmp_path, name, rows, message):
+    path, _ = saved_buffer(tmp_path, capacity=30, n=25)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", lambda arrays, meta: arrays.update(
+        {name: np.resize(arrays[name], (rows, arrays[name].shape[1]))}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
+        load_buffer(bad, capacity=30)
+
+
 @pytest.mark.parametrize("row, slot", [(5, 30.0), (5, -2.0), (5, 0.5), (5, float("nan")), (9, -1.0)])
 def test_buffer_slot_out_of_range_rejected(tmp_path, row, slot):
     # Every one of the 40 transitions kept a tail slot; row 9 is the newest.
     path, _ = saved_buffer(tmp_path, capacity=30, n=40)
     bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt",
                              lambda arrays, meta: arrays["buffer.slot"].__setitem__(row, slot))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: buffer.slot: .*buffer_tail_size 30"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: buffer.slot: .*30 rows of buffer.tail,"):
         load_buffer(bad, capacity=30)
 
 
@@ -710,8 +724,8 @@ def test_small_buffer_resume_metrics_byte_identical(tmp_path):
     assert harness.run_train(config(tmp_path / "straight", 5)) == 0
     assert harness.run_train(config(tmp_path / "resumed", 3)) == 0
     middle = tmp_path / "resumed" / "checkpoint_final.ckpt"
-    meta, _ = neural.load_arrays(middle, {})
-    assert (meta["buffer_size"], meta["buffer_cursor"], meta["buffer_tail_size"]) == (50, 20, 3)
+    meta, shapes = neural.read_header(middle)
+    assert (shapes["buffer.obs"][0], meta["buffer_cursor"], shapes["buffer.tail"][0]) == (50, 20, 3)
     assert harness.run_train(config(tmp_path / "resumed", 5, middle)) == 0
     assert (tmp_path / "straight" / "metrics.csv").read_bytes() == (
         tmp_path / "resumed" / "metrics.csv").read_bytes()
@@ -781,8 +795,24 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert restored.env_steps == trainer.env_steps
     for a, b in zip(restored.agent.policy.params.weights, trainer.agent.policy.params.weights):
         assert np.array_equal(a, b)
-    assert restored.agent.temperature.log_alpha == trainer.agent.temperature.log_alpha
+    assert restored.agent.temperature.log_alpha.tobytes() == trainer.agent.temperature.log_alpha.tobytes()
     assert restored.rng_learn.bit_generator.state == trainer.rng_learn.bit_generator.state
+    # Every optimizer has stepped once per update, so each takes its step
+    # count from ``updates``.
+    assert trainer.updates > 0
+    for name in sac._OPTIMIZERS:
+        assert getattr(restored.agent, f"opt_{name}").t == getattr(trainer.agent, f"opt_{name}").t
+        assert getattr(restored.agent, f"opt_{name}").t == trainer.updates
+
+
+def test_trainer_load_takes_target_entropy_from_config(tmp_path):
+    env = SoftCaptureEnv(small_env_config())
+    path = tmp_path / "state.ckpt"
+    Trainer(env, small_train_config(episodes=1, seed=9)).save(path)
+    restored = Trainer.load(path, env, small_train_config(episodes=2, seed=9))
+    assert restored.agent.temperature.target_entropy == -float(env.action_dim)
+    restored = Trainer.load(path, env, small_train_config(episodes=2, seed=9, target_entropy=-1.5))
+    assert restored.agent.temperature.target_entropy == -1.5
 
 
 def test_trainer_load_rejects_other_seed(tmp_path):
@@ -834,8 +864,9 @@ def test_load_policy_reads_meta(tmp_path):
     obs = np.zeros(40)
     a = deterministic_action(policy, obs)
     assert a.shape == (6,)
-    # The meta's widths and tactile flag are checked against the environment.
-    with pytest.raises(ValueError, match=r"\(40, 6\) with tactile=True.*\(39, 6\) with tactile=False"):
+    # The widths of buffer.obs and buffer.action are checked against the environment.
+    with pytest.raises(ValueError, match=r"\(40, 6\) in buffer.obs/buffer.action.*"
+                                         r"\(39, 6\) with tactile=False"):
         Trainer.load_policy(path, SoftCaptureEnv(small_env_config()))
 
 
@@ -867,6 +898,15 @@ def test_checkpoint_entries_are_the_trainer_table(tmp_path):
         assert np.array_equal(arrays[name], live), name
     assert table["policy"] is trainer.agent.policy.params.flat
     assert table["adam.alpha.m"] is trainer.agent.opt_alpha.m and table["adam.alpha.v"].shape == (1,)
+    assert table["log_alpha"] is trainer.agent.temperature.log_alpha
+
+
+def test_checkpoint_meta_holds_only_what_load_reads(tmp_path):
+    # A stored key that ``Trainer.load`` neither reads nor checks would be
+    # a second copy of some fact, free to disagree with the first.
+    path, _ = trained_checkpoint(tmp_path)
+    meta, _ = neural.read_header(path)
+    assert sorted(meta) == sorted([*sac._META_TYPES, "version"])
 
 
 def rewrite_checkpoint(path, out, change):
@@ -884,6 +924,10 @@ def rewrite_checkpoint(path, out, change):
       for v in range(1, sac.CHECKPOINT_VERSION)),
     (lambda arrays, meta: arrays.pop("policy"), "policy: entry missing", True),
     (lambda arrays, meta: arrays.pop("adam.q2.v"), "adam.q2.v: entry missing", False),
+    (lambda arrays, meta: arrays.pop("log_alpha"), "log_alpha: entry missing", False),
+    (lambda arrays, meta: arrays.pop("buffer.obs"), "buffer.obs: entry missing", True),
+    (lambda arrays, meta: arrays.update({"buffer.action": arrays["buffer.action"].ravel()}),
+     r"buffer.action: shape \(\d+,\), expected \(rows, width\)", True),
     (lambda arrays, meta: arrays.update(target_q1=arrays["target_q1"][:-1]),
      r"target_q1: shape \(\d+,\), expected \(\d+,\)", False),
     (lambda arrays, meta: arrays.update({"buffer.done": arrays["buffer.done"][:-1]}),
@@ -907,28 +951,15 @@ def test_checkpoint_rejects_other_format_and_bad_entries(tmp_path, change, messa
         Trainer.load_policy(bad, env)
 
 
-# Every meta key ``Trainer.load`` reads; a dotted key is a member of the
-# object before the dot.
-META_KEYS = ["seed", "obs_dim", "action_dim", "tactile", "episode", "env_steps", "updates",
-             "log_alpha", "target_entropy", "adam_steps", "adam_steps.policy", "adam_steps.q1",
-             "adam_steps.q2", "adam_steps.alpha", "buffer_capacity", "buffer_size", "buffer_cursor",
-             "buffer_tail_size", "rng_act", "rng_learn"]
-
-
-def meta_scope(meta, key):
-    *parent, name = key.split(".")
-    return (meta[parent[0]] if parent else meta), name
+# Every meta key ``Trainer.load`` reads.
+META_KEYS = ["seed", "buffer_capacity", "buffer_cursor", "episode", "env_steps", "updates",
+             "rng_act", "rng_learn"]
 
 
 @pytest.mark.parametrize("key", META_KEYS)
 def test_checkpoint_refuses_meta_without_a_key(tmp_path, key):
     path, trainer = trained_checkpoint(tmp_path)
-
-    def drop(arrays, meta):
-        scope, name = meta_scope(meta, key)
-        del scope[name]
-
-    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", drop)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", lambda arrays, meta: meta.pop(key))
     env = SoftCaptureEnv(small_env_config())
     match = f"^{re.escape(str(bad))}: meta: {re.escape(key)} missing$"
     with pytest.raises(ValueError, match=match):
@@ -938,20 +969,13 @@ def test_checkpoint_refuses_meta_without_a_key(tmp_path, key):
 
 
 @pytest.mark.parametrize("key, value, kind", [
-    ("episode", "2", "integer"), ("updates", 2.0, "integer"), ("tactile", 0, "boolean"),
-    ("log_alpha", True, "number"), ("adam_steps", [1, 2], "object"),
-    ("adam_steps.alpha", None, "integer"), ("rng_learn", "pcg64", "object"),
+    ("episode", "2", "integer"), ("updates", 2.0, "integer"), ("buffer_cursor", True, "integer"),
+    ("seed", None, "integer"), ("rng_learn", "pcg64", "object"), ("rng_act", [1, 2], "object"),
     ("episode", -3, ">= 0"), ("env_steps", -5, ">= 0"), ("updates", -1, ">= 0"),
-    ("adam_steps.q1", -2, ">= 0"),
 ])
 def test_checkpoint_refuses_meta_key_of_another_type(tmp_path, key, value, kind):
     path, trainer = trained_checkpoint(tmp_path)
-
-    def retype(arrays, meta):
-        scope, name = meta_scope(meta, key)
-        scope[name] = value
-
-    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", retype)
+    bad = rewrite_checkpoint(path, tmp_path / "bad.ckpt", lambda arrays, meta: meta.update({key: value}))
     match = f"^{re.escape(str(bad))}: meta: {re.escape(key)} must be {kind}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=match):
         Trainer.load(bad, SoftCaptureEnv(small_env_config()), trainer.config)
