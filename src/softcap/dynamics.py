@@ -12,7 +12,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import spatial
-from .checks import require_finite
+from .checks import check_fields
 from .spatial import Contact, ConvexRegion, Obb, Pose, quat_mul, quat_normalize, quat_to_matrix
 
 # Contact solver defaults: fixed iteration count, Baumgarte velocity bias.
@@ -99,9 +99,9 @@ class ActionLimits:
     max_rotation_step: float = 0.035     # rad, about 2 degrees
 
     def __post_init__(self):
+        check_fields(self)
         if self.max_translation_step <= 0.0 or self.max_rotation_step <= 0.0:
-            raise ValueError("action limits must be > 0")
-        require_finite(self)
+            raise ValueError("max_translation_step and max_rotation_step must be > 0")
 
 
 class ContactResult(NamedTuple):

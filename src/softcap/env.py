@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dynamics, spatial
-from .checks import require_finite
+from .checks import check_fields
 from .dynamics import ActionLimits, GripperBody, RigidBody
 from .files import replacing
 from .spatial import ConvexRegion, Obb, Pose
@@ -53,24 +53,15 @@ class RandomizationSpec:
     obs_velocity_noise: float = 0.005   # m/s (and rad/s), uniform half-width
 
     def __post_init__(self):
-        for name in (
-            "target_position",
-            "gripper_orientation",
-            "target_lin_vel",
-            "target_ang_vel",
-        ):
-            low = np.asarray(getattr(self, name + "_low"), dtype=float)
-            high = np.asarray(getattr(self, name + "_high"), dtype=float)
-            if low.shape != (3,) or high.shape != (3,):
-                raise ValueError(f"{name} bounds must be length-3")
-            if np.any(low > high):
-                raise ValueError(f"{name} range has low > high")
+        check_fields(self)
+        for name in ("target_position", "gripper_orientation", "target_lin_vel", "target_ang_vel"):
+            if any(lo > hi for lo, hi in zip(getattr(self, name + "_low"), getattr(self, name + "_high"))):
+                raise ValueError(f"{name}_low must be <= {name}_high")
         lo, hi = self.target_mass_range
         if lo <= 0.0 or lo > hi:
-            raise ValueError("target mass range must satisfy 0 < low <= high")
+            raise ValueError("target_mass_range must satisfy 0 < low <= high")
         if self.obs_position_noise < 0.0 or self.obs_velocity_noise < 0.0:
-            raise ValueError("observation noise half-widths must be >= 0")
-        require_finite(self)
+            raise ValueError("obs_position_noise and obs_velocity_noise must be >= 0")
 
 
 @dataclass
@@ -91,6 +82,7 @@ class EnvConfig:
     target_half_extents: Tuple[float, float, float] = (0.05, 0.05, 0.05)
 
     def __post_init__(self):
+        check_fields(self)
         if self.episode_length < self.success_streak_length:
             raise ValueError("episode_length must be >= success_streak_length")
         if not 0.0 <= self.action_noise_fraction < 1.0:
@@ -101,12 +93,8 @@ class EnvConfig:
             raise ValueError("containment_margin must be >= 0")
         if self.success_streak_length < 1:
             raise ValueError("success_streak_length must be >= 1")
-        for name in ("gripper_start_position", "goal_orientation_offset", "target_half_extents"):
-            if np.shape(getattr(self, name)) != (3,):
-                raise ValueError(f"{name} must have 3 entries, got {getattr(self, name)!r}")
-        if np.any(np.asarray(self.target_half_extents, dtype=float) <= 0.0):
+        if min(self.target_half_extents) <= 0.0:
             raise ValueError("target_half_extents must be strictly positive")
-        require_finite(self)
 
 
 @dataclass

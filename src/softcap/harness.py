@@ -14,16 +14,16 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import sys
-import typing
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
+import yaml
 
 from . import __version__
+from .checks import check_fields, field_hints
 from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
                   read_table, table_row, write_table, write_trace_csv)
 from .files import replacing
@@ -49,8 +49,9 @@ class CompareSpec:
     train_episodes: Optional[int] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.train_episodes is not None and self.train_episodes < 0:
-            raise ValueError(f"compare.train_episodes must be >= 0, got {self.train_episodes}")
+            raise ValueError(f"train_episodes must be >= 0, got {self.train_episodes}")
 
 
 @dataclass
@@ -68,6 +69,7 @@ class RunConfig:
     compare: CompareSpec = field(default_factory=CompareSpec)
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in ("train", "eval", "compare", "replay-export"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.episodes < 0 or self.eval_episodes < 0 or self.checkpoint_every < 0:
@@ -84,51 +86,41 @@ class RunConfig:
         self.train = replace(self.train, seed=self.seed, episodes=self.episodes)
 
 
-def _fits(value, hint) -> bool:
-    """The scalar rule: a float field accepts an int, no number field
-    accepts a bool, and no field accepts a NaN or an infinity."""
-    wanted = (int, float) if hint is float else hint
-    return (isinstance(value, wanted) and (hint is bool or not isinstance(value, bool))
-            and (not isinstance(value, float) or math.isfinite(value)))
+class _StrictLoader(yaml.SafeLoader):
+    """A YAML loader that refuses a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"duplicate key {key!r}",
+                                                            key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
-def _check_scalar(name: str, value, hint) -> None:
-    """Reject a value that does not match a ``bool``/``int``/``float``/``str``
-    field by the scalar rule, or a ``Tuple`` field with a list of another
-    length or with an element that breaks the rule.  ``Optional`` fields
-    accept null."""
-    args = typing.get_args(hint)
-    origin = typing.get_origin(hint)
-    if origin is typing.Union and type(None) in args:
-        if value is None:
-            return
-        hint = args[0]
-    elif origin is tuple:
-        if not (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_fits, value, args))):
-            raise ValueError(f"{name} must be {len(args)} numbers, got {value!r}")
-        return
-    if hint in (bool, int, float, str) and not _fits(value, hint):
-        raise ValueError(f"{name} must be {'finite ' if hint is float else ''}{hint.__name__}, got {value!r}")
-
-
-def _build_dataclass(cls, data: Dict, label: str):
+def _build_dataclass(cls, data: Dict, label: str = ""):
+    """Build ``cls`` from the mapping ``data``, each nested section from its
+    field's type hint.  ``label`` is the section's dotted name, empty at the
+    top level; it prefixes any ``ValueError`` the section raises."""
+    where = label or "run config"
     if not isinstance(data, dict):
-        raise ValueError(f"{label} section must be a mapping")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+        raise ValueError(f"{where} section must be a mapping")
+    hints = dict(field_hints(cls))
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise ValueError(f"unknown {label} keys: {unknown}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        name = key if cls is RunConfig else f"{label}.{key}"
-        if dataclasses.is_dataclass(hints[key]):
-            value = _build_dataclass(hints[key], value, name)
-        else:
-            _check_scalar(name, value, hints[key])
-        kwargs[key] = value
-    return cls(**kwargs)
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    kwargs = {key: _build_dataclass(hints[key], value, f"{label}.{key}" if label else key)
+              if dataclasses.is_dataclass(hints[key]) else value
+              for key, value in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not label:
+            raise
+        raise ValueError(f"{label}.{exc}") from exc
 
 
 def load_config(mode: str, config_path: Optional[str] = None, overrides: Optional[Dict] = None) -> RunConfig:
@@ -139,12 +131,13 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
     the top-level ``seed`` and ``episodes``, so a ``train:`` mapping that
     sets either is rejected.
     """
-    import yaml
-
     data: Dict = {}
     if config_path:
-        with open(config_path) as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                loaded = yaml.load(fh, Loader=_StrictLoader)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{config_path}: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -167,7 +160,7 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
             if key in train:
                 raise ValueError(f"train.{key} is not a setting of its own: "
                                  f"set the top-level '{key}' key instead")
-    return _build_dataclass(RunConfig, data, "run config")
+    return _build_dataclass(RunConfig, data)
 
 
 def _now() -> str:

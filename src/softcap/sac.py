@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import neural
-from .checks import require_finite
+from .checks import check_fields
 from .neural import AdamState, DenseParams, Workspace
 
 HIDDEN_SIZES = (256, 256)
@@ -44,6 +44,7 @@ class TrainConfig:
     initial_log_alpha: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -56,7 +57,8 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be >= 1 and warmup_steps >= 0")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
-        require_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def layer_sizes(obs_dim: int, action_dim: int) -> Tuple[List[int], List[int]]:

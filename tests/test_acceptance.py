@@ -302,7 +302,7 @@ def test_criterion_08_determinism(tmp_path):
             "env": {"episode_length": 40, "success_streak_length": 20},
             "train": {"batch_size": 32, "warmup_steps": 120},
         }
-        cfg = harness._build_dataclass(harness.RunConfig, data, "run config")
+        cfg = harness._build_dataclass(harness.RunConfig, data)
         cfg.train = replace(cfg.train, seed=cfg.seed, episodes=cfg.episodes)
         assert harness.run_train(cfg) == 0
         return (tmp_path / name / "metrics.csv").read_bytes()
@@ -348,7 +348,7 @@ def test_criterion_10_matched_seed_comparison_mode(tmp_path):
         "train": {"batch_size": 32, "warmup_steps": 60},
         "compare": {"train_episodes": 2},
     }
-    cfg = harness._build_dataclass(harness.RunConfig, data, "run config")
+    cfg = harness._build_dataclass(harness.RunConfig, data)
     cfg.train = replace(cfg.train, seed=cfg.seed, episodes=cfg.episodes)
     assert harness.run_compare(cfg) == 0
     with open(tmp_path / "cmp" / "comparison.csv") as fh:

@@ -6,7 +6,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import astuple, fields, replace
+import typing
+from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 from softcap import cli, harness, sac
+from softcap.checks import field_hints
 from softcap.dynamics import ActionLimits
 from softcap.env import EnvConfig, RandomizationSpec, SoftCaptureEnv, table_row
 from softcap.harness import RunConfig, load_config, run_compare, run_eval, run_replay_export, run_train
@@ -42,7 +44,7 @@ def small_run_dict(out_dir, episodes=2, seed=0, **extra):
 def make_config(mode, out_dir, **kwargs) -> RunConfig:
     data = small_run_dict(out_dir, **kwargs)
     data["mode"] = mode
-    return harness._build_dataclass(RunConfig, data, "run config")
+    return harness._build_dataclass(RunConfig, data)
 
 
 # ---------------------------------------------------------------- config
@@ -106,18 +108,82 @@ def test_load_config_rejects_invalid_values(tmp_path):
         path.write_text(yaml.safe_dump(data))
         with pytest.raises(ValueError, match=re.escape(named)):
             load_config("train", str(path))
-    for learning_rate in (-0.001, 0.0, nan):
+    for learning_rate in (-0.001, 0.0):
         with pytest.raises(ValueError, match="learning_rate must be > 0"):
             sac.TrainConfig(learning_rate=learning_rate)
     # Built directly, outside load_config, each config refuses them too.
     for build, named in [
-        (lambda: EnvConfig(containment_margin=nan, control_dt=inf), "control_dt must be finite, got inf"),
+        (lambda: sac.TrainConfig(learning_rate=nan), "learning_rate must be finite float, got nan"),
+        (lambda: EnvConfig(containment_margin=nan, control_dt=inf), "control_dt must be finite float, got inf"),
         (lambda: sac.TrainConfig(target_entropy=nan, initial_log_alpha=inf),
-         "target_entropy must be finite, got nan"),
-        (lambda: RandomizationSpec(obs_position_noise=nan), "obs_position_noise must be finite, got nan"),
-        (lambda: ActionLimits(max_translation_step=inf), "max_translation_step must be finite, got inf"),
+         "target_entropy must be finite float, got nan"),
+        (lambda: RandomizationSpec(obs_position_noise=nan), "obs_position_noise must be finite float, got nan"),
+        (lambda: ActionLimits(max_translation_step=inf), "max_translation_step must be finite float, got inf"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            build()
+
+
+def _config_classes(cls=RunConfig):
+    """``cls`` and every config dataclass reachable through its type hints."""
+    found = [cls]
+    for _, hint in field_hints(cls):
+        if is_dataclass(hint):
+            found += [c for c in _config_classes(hint) if c not in found]
+    return found
+
+
+def _wrong_kind(hint):
+    """A value of another kind than ``hint`` admits."""
+    if is_dataclass(hint):
+        return {}
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return [0.5] * (len(args) - 1) + [True]  # the right length, a bool in a number slot
+    if typing.get_origin(hint) is typing.Union:
+        return _wrong_kind(args[0])
+    return {bool: "off", int: 2.5, float: "0.5", str: 5}[hint]
+
+
+CONFIG_FIELDS = [pytest.param(cls, name, hint, id=f"{cls.__name__}.{name}")
+                 for cls in _config_classes() for name, hint in field_hints(cls)]
+
+
+def test_config_walk_reaches_every_config_class():
+    assert {p.values[0].__name__ for p in CONFIG_FIELDS} == {
+        "RunConfig", "EnvConfig", "ActionLimits", "RandomizationSpec", "TrainConfig", "CompareSpec"}
+
+
+@pytest.mark.parametrize("cls, name, hint", CONFIG_FIELDS)
+def test_every_config_field_refuses_a_value_of_the_wrong_kind(cls, name, hint):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{name: _wrong_kind(hint)})
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: EnvConfig(tactile_enabled="off"), "tactile_enabled must be bool, got 'off'"),
+    (lambda: EnvConfig(episode_length=500.5), "episode_length must be int, got 500.5"),
+    (lambda: sac.TrainConfig(batch_size=64.5), "batch_size must be int, got 64.5"),
+    (lambda: RunConfig(seed=1.5), "seed must be int, got 1.5"),
+    (lambda: harness.CompareSpec(tactile_a="no"), "tactile_a must be bool, got 'no'"),
+    (lambda: RandomizationSpec(target_mass_range=(1.0,)), "target_mass_range must be 2 numbers, got (1.0,)"),
+    (lambda: ActionLimits(max_translation_step="0.01"), "max_translation_step must be finite float, got '0.01'"),
+])
+def test_config_built_directly_refuses_wrong_kinds(build, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        build()
+
+
+def test_config_check_converts_nothing():
+    cfg = EnvConfig(gripper_start_position=[0.0, 0.1, 0.0],
+                    randomization=RandomizationSpec(target_mass_range=[1, 2]))
+    assert cfg.gripper_start_position == [0.0, 0.1, 0.0]
+    assert cfg.randomization.target_mass_range == [1, 2]
+
+
+def test_negative_seed_refused_at_construction():
+    for build in (lambda: sac.TrainConfig(seed=-1), lambda: RunConfig(seed=-1)):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             build()
 
 
@@ -374,7 +440,7 @@ def trained_checkpoint(tmp_path, tactile=False, episodes=1, seed=0) -> str:
     data = small_run_dict(out, episodes=episodes, seed=seed)
     data["env"]["tactile_enabled"] = tactile
     data["mode"] = "train"
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_train(cfg) == 0
     return str(out / "checkpoint_final.ckpt")
 
@@ -407,7 +473,7 @@ def test_eval_refuses_width_mismatch(tmp_path):
     data["env"]["tactile_enabled"] = False  # 39-wide env
     data["mode"] = "eval"
     data["checkpoint"] = ckpt
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_eval(cfg) == 1
     manifest = json.loads((tmp_path / "eval_bad" / "run_manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -436,7 +502,7 @@ def test_compare_control_case_identical_rows(tmp_path):
         "tactile_a": False,
         "tactile_b": False,
     }
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_compare(cfg) == 0
     with open(tmp_path / "cmp" / "comparison.csv") as fh:
         rows = list(csv.reader(fh))
@@ -450,7 +516,7 @@ def test_compare_trains_both_arms_when_no_checkpoints(tmp_path):
     data = small_run_dict(tmp_path / "cmp2", episodes=1)
     data["mode"] = "compare"
     data["compare"] = {"train_episodes": 1}
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_compare(cfg) == 0
     comparison = (tmp_path / "cmp2" / "comparison.csv").read_text()
     assert (tmp_path / "cmp2" / "arm_a" / "checkpoint_final.ckpt").exists()
@@ -469,7 +535,7 @@ def test_compare_zero_train_episodes_is_honoured(tmp_path):
     data = small_run_dict(tmp_path / "cmp0", episodes=3)
     data["mode"] = "compare"
     data["compare"] = {"train_episodes": 0}
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_compare(cfg) == 0
     for arm in ("arm_a", "arm_b"):
         rows = (tmp_path / "cmp0" / arm / "metrics.csv").read_text().splitlines()
@@ -524,7 +590,7 @@ def test_replay_export_outputs_and_streak(tmp_path):
     data = small_run_dict(tmp_path / "exp")
     data["mode"] = "replay-export"
     data["trace"] = str(trace)
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_replay_export(cfg) == 0
     out = tmp_path / "exp"
     rewards = (out / "trace_rewards.csv").read_text()
@@ -546,7 +612,7 @@ def test_replay_export_flags_long_streak(tmp_path):
     data = small_run_dict(tmp_path / "expg")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_replay_export(cfg) == 0
     summary = json.loads((tmp_path / "expg" / "good_summary.json").read_text())
     assert summary["longest_success_streak"] == 25
@@ -558,14 +624,14 @@ def test_replay_export_is_idempotent_on_reward_series(tmp_path):
     data = small_run_dict(tmp_path / "exp1")
     data["mode"] = "replay-export"
     data["trace"] = str(trace)
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_replay_export(cfg) == 0
     first = tmp_path / "exp1" / "trace_rewards.csv"
 
     data2 = small_run_dict(tmp_path / "exp2")
     data2["mode"] = "replay-export"
     data2["trace"] = str(first)
-    cfg2 = harness._build_dataclass(RunConfig, data2, "run config")
+    cfg2 = harness._build_dataclass(RunConfig, data2)
     assert run_replay_export(cfg2) == 0
     second = tmp_path / "exp2" / "trace_rewards_rewards.csv"
     assert first.read_bytes() == second.read_bytes()
@@ -577,7 +643,7 @@ def test_replay_export_empty_trace_warns(tmp_path, capsys):
     data = small_run_dict(tmp_path / "expe")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_replay_export(cfg) == 0
     assert "warning" in capsys.readouterr().err
     rewards = (tmp_path / "expe" / "empty_rewards.csv").read_text()
@@ -590,7 +656,7 @@ def test_replay_export_malformed_trace_fails_with_line(tmp_path):
     data = small_run_dict(tmp_path / "expb")
     data["mode"] = "replay-export"
     data["trace"] = str(path)
-    cfg = harness._build_dataclass(RunConfig, data, "run config")
+    cfg = harness._build_dataclass(RunConfig, data)
     assert run_replay_export(cfg) == 1
     manifest = json.loads((tmp_path / "expb" / "run_manifest.json").read_text())
     assert ":2" in manifest["error"]
@@ -663,6 +729,32 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, section, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (b"seed: [1, 2\n", "expected ',' or ']'"),
+    (b"seed: 1\n# \xff\xfe\n", "can't decode byte 0xff"),
+    (b"env:\n  tactile_enabled: true\n  tactile_enabled: false\n", "duplicate key 'tactile_enabled'"),
+], ids=["malformed", "not-utf8", "duplicate-key"])
+def test_cli_refuses_unreadable_config_file(tmp_path, capsys, text, named):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg_path), "--episodes", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: ") and named in err
+    if "duplicate" in named:
+        assert "line 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_cli_refuses_negative_seed(tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    assert cli.main([mode, "--seed", "-1", "--episodes", "0", "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(out)]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_resume_into_fresh_directory_summarizes_its_own_rows(tmp_path, capsys):
