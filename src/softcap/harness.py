@@ -123,9 +123,28 @@ def _build_dataclass(cls, data: Dict, label: str = ""):
         raise ValueError(f"{label}.{exc}") from exc
 
 
+def _merged(base: Dict, override: Dict, label: str = "") -> Dict:
+    """A new mapping: ``base`` with each key of ``override`` laid over it, a
+    mapping merged into the section it meets key by key.  Neither argument
+    changes, and no mapping of ``override`` ends up in the result."""
+    merged = dict(base)
+    for key, value in override.items():
+        name = f"{label}.{key}" if label else key
+        if isinstance(value, dict):
+            section = merged.get(key, {})
+            if not isinstance(section, dict):
+                raise ValueError(f"{name} section must be a mapping")
+            value = _merged(section, value, name)
+        merged[key] = value
+    return merged
+
+
 def load_config(mode: str, config_path: Optional[str] = None, overrides: Optional[Dict] = None) -> RunConfig:
     """Build a RunConfig from an optional YAML file plus flag overrides.
 
+    An override that is a mapping, such as ``{"env": {...}}``, sets only
+    the keys it names and keeps the file's others; ``tactile`` sets
+    ``env.tactile_enabled``.  The caller's mappings are never changed.
     Unknown keys and invalid values fail loudly; nothing is silently
     replaced by a default.  The learner's seed and episode count follow
     the top-level ``seed`` and ``episodes``, so a ``train:`` mapping that
@@ -148,12 +167,8 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
         if value is None:
             continue
         if key == "tactile":
-            data.setdefault("env", {})
-            if not isinstance(data["env"], dict):
-                raise ValueError("env section must be a mapping")
-            data["env"]["tactile_enabled"] = value
-        else:
-            data[key] = value
+            key, value = "env", {"tactile_enabled": value}
+        data = _merged(data, {key: value})
     train = data.get("train")
     if isinstance(train, dict):
         for key in ("seed", "episodes"):
@@ -210,7 +225,11 @@ def _run(cfg: RunConfig, body) -> int:
 # ----------------------------------------------------------------------
 # train
 def _train(cfg: RunConfig, out: Path) -> Dict:
-    """Train into ``out``: ``metrics.csv``, periodic and final checkpoints."""
+    """Train into ``out``: ``metrics.csv``, periodic and final checkpoints.
+
+    A periodic checkpoint is written only for an episode before the run's
+    last, so each state is saved once: the last lives in
+    ``checkpoint_final.ckpt``, which also extends a finished run."""
     env = SoftCaptureEnv(cfg.env)
     if cfg.checkpoint:
         trainer = Trainer.load(cfg.checkpoint, env, cfg.train)
@@ -244,7 +263,7 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
             returns.append(metrics.episode_return)
             successes.append(int(metrics.success))
             done = metrics.episode + 1
-            if cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
+            if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.episodes:
                 trainer.save(out / f"checkpoint_ep{done:06d}.ckpt")
     trainer.save(out / "checkpoint_final.ckpt")
 

@@ -581,6 +581,10 @@ class Trainer:
             if meta[key] != getattr(config, key):
                 raise ValueError(f"{path}: checkpoint was written with {key} {meta[key]}, "
                                  f"the run asks for {key} {getattr(config, key)}")
+        # A run may be extended, never cut short.
+        if meta["episode"] > config.episodes:
+            raise ValueError(f"{path}: checkpoint has run {meta['episode']} episodes, "
+                             f"the run asks for {config.episodes}")
         policy_sizes, critic_sizes = layer_sizes(env.observation_dim, env.action_dim)
         zeros = DenseParams.zeros
         critics = TwinCritics(*(zeros(critic_sizes) for _ in range(4)))

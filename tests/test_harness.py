@@ -60,6 +60,28 @@ def test_load_config_file_and_overrides(tmp_path):
     assert cfg.train.episodes == 5
 
 
+def test_load_config_leaves_the_callers_mappings_alone():
+    env = {"episode_length": 40, "success_streak_length": 20}
+    cfg = load_config("train", None, {"env": env, "tactile": True})
+    assert cfg.env.tactile_enabled is True and cfg.env.episode_length == 40
+    assert env == {"episode_length": 40, "success_streak_length": 20}
+
+
+def test_load_config_merges_section_overrides_key_by_key(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"env": {"episode_length": 40, "success_streak_length": 20,
+                                            "randomization": {"obs_position_noise": 0.002}},
+                                    "train": {"batch_size": 32}}))
+    cfg = load_config("train", str(path), {"env": {"episode_length": 50, "randomization": {
+        "obs_velocity_noise": 0.003}}, "train": {"gamma": 0.9}})
+    assert (cfg.env.episode_length, cfg.env.success_streak_length) == (50, 20)
+    assert (cfg.env.randomization.obs_position_noise, cfg.env.randomization.obs_velocity_noise) == (0.002, 0.003)
+    assert (cfg.train.batch_size, cfg.train.gamma) == (32, 0.9)
+    path.write_text(yaml.safe_dump({"env": 5}))
+    with pytest.raises(ValueError, match="^env section must be a mapping$"):
+        load_config("train", str(path), {"tactile": True})
+
+
 def test_run_config_owns_train_seed_and_episodes(tmp_path):
     cfg = make_config("train", tmp_path / "run", episodes=4, seed=6)
     assert (cfg.train.seed, cfg.train.episodes) == (6, 4)
@@ -227,19 +249,45 @@ def test_train_same_seed_byte_identical(tmp_path):
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):
-    straight = make_config("train", tmp_path / "straight", episodes=6, seed=7)
+    # The first part ends on a checkpoint_every multiple, so its last state
+    # is in checkpoint_final.ckpt alone; resuming from it extends the run.
+    straight = make_config("train", tmp_path / "straight", episodes=6, seed=7, checkpoint_every=3)
     assert run_train(straight) == 0
 
-    part = make_config("train", tmp_path / "resumed", episodes=3, seed=7)
+    part = make_config("train", tmp_path / "resumed", episodes=3, seed=7, checkpoint_every=3)
     assert run_train(part) == 0
+    assert not (tmp_path / "resumed" / "checkpoint_ep000003.ckpt").exists()
     resumed = make_config(
-        "train", tmp_path / "resumed", episodes=6, seed=7,
+        "train", tmp_path / "resumed", episodes=6, seed=7, checkpoint_every=3,
         checkpoint=str(tmp_path / "resumed" / "checkpoint_final.ckpt"),
     )
     assert run_train(resumed) == 0
-    assert (tmp_path / "straight" / "metrics.csv").read_bytes() == (
-        tmp_path / "resumed" / "metrics.csv"
-    ).read_bytes()
+    for name in ("metrics.csv", "checkpoint_final.ckpt"):
+        assert (tmp_path / "straight" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes(), name
+
+
+def test_train_saves_the_last_episode_only_as_the_final_checkpoint(tmp_path):
+    out = tmp_path / "run"
+    assert run_train(make_config("train", out, episodes=4, checkpoint_every=2)) == 0
+    assert sorted(p.name for p in out.glob("*.ckpt")) == ["checkpoint_ep000002.ckpt", "checkpoint_final.ckpt"]
+
+
+def test_resume_refuses_checkpoint_past_the_runs_episodes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_train(make_config("train", out, episodes=3, seed=5)) == 0
+    final = out / "checkpoint_final.ckpt"
+    before = {name: (out / name).read_bytes() for name in ("metrics.csv", "checkpoint_final.ckpt")}
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_run_dict(out, episodes=2, seed=5)))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(final)]) == 1
+    assert f"error: {final}: checkpoint has run 3 episodes, the run asks for 2" in capsys.readouterr().err
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
+    # A resume that asks for the episodes already run changes nothing.
+    assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(final), "--episodes", "3"]) == 0
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_failed_writes_keep_previous_files(tmp_path, monkeypatch):
@@ -692,8 +740,9 @@ def test_cli_smoke_config_trains_and_compares(tmp_path):
     with open(tmp_path / "cmp" / "comparison.csv") as fh:
         assert [r["arm"] for r in csv.DictReader(fh)] == ["a", "b"]
     # Arm a is the tactile arm, trained through the train body with the
-    # same seed, so its periodic checkpoint matches the train run's.
-    assert (tmp_path / "cmp" / "arm_a" / "checkpoint_ep000002.ckpt").read_bytes() == (
+    # same seed for 2 episodes, so its final checkpoint matches the train
+    # run's episode-2 checkpoint.
+    assert (tmp_path / "cmp" / "arm_a" / "checkpoint_final.ckpt").read_bytes() == (
         tmp_path / "train" / "checkpoint_ep000002.ckpt"
     ).read_bytes()
 
