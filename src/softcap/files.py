@@ -21,3 +21,14 @@ def replacing(path, mode: str = "w", **open_kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def link(src, path) -> None:
+    """Give the file ``src`` the second name ``path``, a hard link, so no
+    byte is written.  The link is made at ``<path>.tmp`` and then replaces
+    ``path``, as every write does."""
+    tmp = f"{os.fspath(path)}.tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    os.link(src, tmp)
+    os.replace(tmp, path)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import os
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from . import __version__
 from .checks import check_fields, field_hints
 from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
                   read_table, table_row, write_table, write_trace_csv)
-from .files import replacing
+from .files import link, replacing
 from .sac import EpisodeMetrics, TrainConfig, Trainer, deterministic_action, episode_seed
 
 _EVAL_STREAM = 4
@@ -123,28 +124,9 @@ def _build_dataclass(cls, data: Dict, label: str = ""):
         raise ValueError(f"{label}.{exc}") from exc
 
 
-def _merged(base: Dict, override: Dict, label: str = "") -> Dict:
-    """A new mapping: ``base`` with each key of ``override`` laid over it, a
-    mapping merged into the section it meets key by key.  Neither argument
-    changes, and no mapping of ``override`` ends up in the result."""
-    merged = dict(base)
-    for key, value in override.items():
-        name = f"{label}.{key}" if label else key
-        if isinstance(value, dict):
-            section = merged.get(key, {})
-            if not isinstance(section, dict):
-                raise ValueError(f"{name} section must be a mapping")
-            value = _merged(section, value, name)
-        merged[key] = value
-    return merged
-
-
 def load_config(mode: str, config_path: Optional[str] = None, overrides: Optional[Dict] = None) -> RunConfig:
     """Build a RunConfig from an optional YAML file plus flag overrides.
 
-    An override that is a mapping, such as ``{"env": {...}}``, sets only
-    the keys it names and keeps the file's others; ``tactile`` sets
-    ``env.tactile_enabled``.  The caller's mappings are never changed.
     Unknown keys and invalid values fail loudly; nothing is silently
     replaced by a default.  The learner's seed and episode count follow
     the top-level ``seed`` and ``episodes``, so a ``train:`` mapping that
@@ -167,8 +149,13 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
         if value is None:
             continue
         if key == "tactile":
-            key, value = "env", {"tactile_enabled": value}
-        data = _merged(data, {key: value})
+            data.setdefault("env", {})
+            if not isinstance(data["env"], dict):
+                raise ValueError("env section must be a mapping")
+            # A copy, so the caller's own ``env`` override stays as it was.
+            data["env"] = {**data["env"], "tactile_enabled": value}
+        else:
+            data[key] = value
     train = data.get("train")
     if isinstance(train, dict):
         for key in ("seed", "episodes"):
@@ -231,10 +218,19 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     last, so each state is saved once: the last lives in
     ``checkpoint_final.ckpt``, which also extends a finished run."""
     env = SoftCaptureEnv(cfg.env)
+    final = out / "checkpoint_final.ckpt"
     if cfg.checkpoint:
         trainer = Trainer.load(cfg.checkpoint, env, cfg.train)
     else:
         trainer = Trainer(env, cfg.train)
+    # Extending a run in place: before its final checkpoint is replaced,
+    # that state takes the periodic name an uninterrupted run gives it, as
+    # a second name of the same file, so no state is lost and the directory
+    # ends as the uninterrupted run's would.
+    start = trainer.episode
+    if (cfg.checkpoint and cfg.checkpoint_every and start % cfg.checkpoint_every == 0
+            and 0 < start < cfg.episodes and final.exists() and os.path.samefile(cfg.checkpoint, final)):
+        link(final, _periodic_checkpoint(out, start))
 
     metrics_path = out / "metrics.csv"
     columns = [f.name for f in fields(EpisodeMetrics)]
@@ -264,8 +260,8 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
             successes.append(int(metrics.success))
             done = metrics.episode + 1
             if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.episodes:
-                trainer.save(out / f"checkpoint_ep{done:06d}.ckpt")
-    trainer.save(out / "checkpoint_final.ckpt")
+                trainer.save(_periodic_checkpoint(out, done))
+    trainer.save(final)
 
     tail = returns[-10:] if returns else []
     return {
@@ -277,6 +273,10 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
         "mean_return_last_10": float(np.mean(tail)) if tail else None,
         "success_rate": float(np.mean(successes)) if successes else None,
     }
+
+
+def _periodic_checkpoint(out: Path, episode: int) -> Path:
+    return out / f"checkpoint_ep{episode:06d}.ckpt"
 
 
 def run_train(cfg: RunConfig) -> int:

@@ -207,13 +207,7 @@ def backward(params: DenseParams, cache: Workspace, grad_output: np.ndarray,
         else:
             # Hidden-layer deltas alternate between two scratch buffers.
             nxt = ws.temp(("delta", i % 2), below.shape)
-        if delta.shape[1] == 1:
-            # One output: each entry is a single product, so a broadcast
-            # gives the matmul's values for less (an exact zero may come out
-            # with the other sign, which leaves every Adam step the same).
-            np.multiply(delta, params.weights[i], out=nxt)
-        else:
-            np.matmul(delta, params.weights[i], out=nxt)
+        np.matmul(delta, params.weights[i], out=nxt)
         if i > 0:
             # ReLU passes the gradient where its output is positive.
             mask = ws.temp("mask", below.shape, bool)

@@ -67,21 +67,6 @@ def test_load_config_leaves_the_callers_mappings_alone():
     assert env == {"episode_length": 40, "success_streak_length": 20}
 
 
-def test_load_config_merges_section_overrides_key_by_key(tmp_path):
-    path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump({"env": {"episode_length": 40, "success_streak_length": 20,
-                                            "randomization": {"obs_position_noise": 0.002}},
-                                    "train": {"batch_size": 32}}))
-    cfg = load_config("train", str(path), {"env": {"episode_length": 50, "randomization": {
-        "obs_velocity_noise": 0.003}}, "train": {"gamma": 0.9}})
-    assert (cfg.env.episode_length, cfg.env.success_streak_length) == (50, 20)
-    assert (cfg.env.randomization.obs_position_noise, cfg.env.randomization.obs_velocity_noise) == (0.002, 0.003)
-    assert (cfg.train.batch_size, cfg.train.gamma) == (32, 0.9)
-    path.write_text(yaml.safe_dump({"env": 5}))
-    with pytest.raises(ValueError, match="^env section must be a mapping$"):
-        load_config("train", str(path), {"tactile": True})
-
-
 def test_run_config_owns_train_seed_and_episodes(tmp_path):
     cfg = make_config("train", tmp_path / "run", episodes=4, seed=6)
     assert (cfg.train.seed, cfg.train.episodes) == (6, 4)
@@ -250,7 +235,8 @@ def test_train_same_seed_byte_identical(tmp_path):
 
 def test_train_resume_matches_uninterrupted(tmp_path):
     # The first part ends on a checkpoint_every multiple, so its last state
-    # is in checkpoint_final.ckpt alone; resuming from it extends the run.
+    # is in checkpoint_final.ckpt alone; resuming from it in place extends
+    # the run and keeps that state under its periodic name.
     straight = make_config("train", tmp_path / "straight", episodes=6, seed=7, checkpoint_every=3)
     assert run_train(straight) == 0
 
@@ -262,7 +248,10 @@ def test_train_resume_matches_uninterrupted(tmp_path):
         checkpoint=str(tmp_path / "resumed" / "checkpoint_final.ckpt"),
     )
     assert run_train(resumed) == 0
-    for name in ("metrics.csv", "checkpoint_final.ckpt"):
+    names = sorted(p.name for p in (tmp_path / "straight").glob("*.ckpt"))
+    assert names == ["checkpoint_ep000003.ckpt", "checkpoint_final.ckpt"]
+    assert sorted(p.name for p in (tmp_path / "resumed").glob("*.ckpt")) == names
+    for name in ["metrics.csv", *names]:
         assert (tmp_path / "straight" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes(), name
 
 
