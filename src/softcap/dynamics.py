@@ -135,19 +135,24 @@ def open_gripper_region_points() -> np.ndarray:
     return np.array(points)
 
 
+# The open rig is fixed, so it is built once, at import, and every gripper
+# shares its read-only arrays: the palm sphere center, then each finger's
+# sphere centers without the palm ring point after them; their radii; and
+# the enclosure region spanned by all 12 points.
+_RIG_POINTS = open_gripper_region_points()
+_RIG_CENTERS = np.vstack([np.zeros(3), _RIG_POINTS.reshape(len(_FINGER_ANGLES), -1, 3)[:, :-1].reshape(-1, 3)])
+_RIG_RADII = np.array([PALM_SPHERE_RADIUS] + [FINGER_SPHERE_RADIUS] * (len(_RIG_CENTERS) - 1))
+_RIG_REGION = ConvexRegion.from_points(_RIG_POINTS)
+_RIG_CENTERS.flags.writeable = _RIG_RADII.flags.writeable = False
+_RIG_REGION.normals.flags.writeable = _RIG_REGION.offsets.flags.writeable = False
+
+
 def build_open_gripper(pose: Optional[Pose] = None) -> GripperBody:
     """Gripper in the fixed open configuration: 3 chains of 3 finger spheres
     plus one palm sphere, and the enclosure region spanned by the 9 finger
     sphere centers and 3 palm ring points."""
-    points = open_gripper_region_points()
-    # Each finger's sphere centers, without the palm ring point after them.
-    fingers = points.reshape(len(_FINGER_ANGLES), -1, 3)[:, :-1].reshape(-1, 3)
-    return GripperBody(
-        pose=pose if pose is not None else Pose(),
-        sphere_centers=np.vstack([np.zeros(3), fingers]),
-        sphere_radii=np.array([PALM_SPHERE_RADIUS] + [FINGER_SPHERE_RADIUS] * len(fingers)),
-        finger_region=ConvexRegion.from_points(points),
-    )
+    return GripperBody(pose=pose if pose is not None else Pose(), sphere_centers=_RIG_CENTERS,
+                       sphere_radii=_RIG_RADII, finger_region=_RIG_REGION)
 
 
 def _body_rates(y, ix: float, iy: float, iz: float):

@@ -205,7 +205,6 @@ class SoftCaptureEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self._gripper_template = dynamics.build_open_gripper()
         self._goal_offset = spatial.euler_xyz_to_quat(config.goal_orientation_offset)
         self._half_extents = np.asarray(config.target_half_extents, dtype=float)
         self._rng: Optional[np.random.Generator] = None
@@ -263,13 +262,8 @@ class SoftCaptureEnv:
         target_ang = self._rng.uniform(rnd.target_ang_vel_low, rnd.target_ang_vel_high)
         mass = float(self._rng.uniform(*rnd.target_mass_range))
 
-        self._gripper = GripperBody(
-            pose=Pose(cfg.gripper_start_position,
-                      spatial.quat_normalize(spatial.euler_xyz_to_quat(gripper_euler))),
-            sphere_centers=self._gripper_template.sphere_centers,
-            sphere_radii=self._gripper_template.sphere_radii,
-            finger_region=self._gripper_template.finger_region,
-        )
+        self._gripper = dynamics.build_open_gripper(
+            Pose(cfg.gripper_start_position, spatial.quat_normalize(spatial.euler_xyz_to_quat(gripper_euler))))
         self._target = RigidBody(
             pose=Pose(target_pos, spatial.quat_identity()),
             lin_vel=target_lin,

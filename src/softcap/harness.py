@@ -228,8 +228,8 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     # a second name of the same file, so no state is lost and the directory
     # ends as the uninterrupted run's would.
     start = trainer.episode
-    if (cfg.checkpoint and cfg.checkpoint_every and start % cfg.checkpoint_every == 0
-            and 0 < start < cfg.episodes and final.exists() and os.path.samefile(cfg.checkpoint, final)):
+    in_place = bool(cfg.checkpoint) and final.exists() and os.path.samefile(cfg.checkpoint, final)
+    if in_place and cfg.checkpoint_every and start % cfg.checkpoint_every == 0 and 0 < start < cfg.episodes:
         link(final, _periodic_checkpoint(out, start))
 
     metrics_path = out / "metrics.csv"
@@ -261,7 +261,10 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
             done = metrics.episode + 1
             if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.episodes:
                 trainer.save(_periodic_checkpoint(out, done))
-    trainer.save(final)
+    # Resumed in place with no episode to run, the final checkpoint already
+    # holds this state; rewriting it would copy the whole replay buffer.
+    if not (in_place and trainer.episode == start):
+        trainer.save(final)
 
     tail = returns[-10:] if returns else []
     return {

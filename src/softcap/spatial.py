@@ -12,6 +12,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -182,14 +183,27 @@ class ConvexRegion:
 
     @classmethod
     def from_points(cls, points) -> "ConvexRegion":
-        """Half-space representation of the convex hull of a point cloud."""
-        from scipy.spatial import ConvexHull
+        """Half-space representation of the convex hull of a point cloud.
 
+        Every point triple spans a plane; a plane with all points on one
+        side (within 1e-9) bounds the hull, with its normal turned outward.
+        This costs O(n^4), which suits the small clouds it is built for.  A
+        flat or smaller cloud fails the 4 half-space check."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        hull = ConvexHull(points)
-        # Qhull equations satisfy n.x + b <= 0 inside; coplanar triangles
-        # repeat the same plane, so collapse near-duplicates.
-        eq = np.unique(np.round(hull.equations, 9), axis=0)
+        triples = np.array(list(itertools.combinations(range(len(points)), 3)), dtype=np.intp)
+        a, b, c = points[triples.reshape(-1, 3).T]
+        n = np.cross(b - a, c - a)
+        length = np.linalg.norm(n, axis=1)
+        spans = length > 0.0  # a collinear triple spans no plane
+        n = n[spans] / length[spans, None]
+        d = (n * a[spans]).sum(axis=1)
+        side = points @ n.T - d
+        outward, inward = (side <= 1e-9).all(axis=0), (side >= -1e-9).all(axis=0)
+        bounds = outward | inward
+        sign = np.where(outward, 1.0, -1.0)[bounds]
+        # The equations n.x + b <= 0 inside, b = -d; coplanar triples repeat
+        # the same plane, so collapse near-duplicates.
+        eq = np.unique(np.round(np.column_stack([n[bounds], -d[bounds]]) * sign[:, None], 9), axis=0)
         normals = eq[:, :3]
         offsets = -eq[:, 3]
         lengths = np.linalg.norm(normals, axis=1)

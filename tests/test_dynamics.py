@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from softcap import dynamics, spatial
 from softcap.dynamics import (
@@ -403,8 +404,13 @@ def test_open_gripper_rig_shape():
     assert g.sphere_centers.shape[0] == 10  # 9 finger + 1 palm
     assert np.sum(g.sphere_radii == dynamics.FINGER_SPHERE_RADIUS) == 9
     assert np.sum(g.sphere_radii == dynamics.PALM_SPHERE_RADIUS) == 1
-    assert g.finger_region is not None
-    assert g.finger_region.normals.shape[0] >= 4
+    # The region is qhull's hull of the 12 rig points, bit for bit, after
+    # the same rounding, duplicate removal and normalization.
+    eq = np.unique(np.round(ConvexHull(dynamics.open_gripper_region_points()).equations, 9), axis=0)
+    lengths = np.linalg.norm(eq[:, :3], axis=1)
+    assert g.finger_region.normals.shape == (11, 3)
+    assert np.array_equal(g.finger_region.normals, eq[:, :3] / lengths[:, None])
+    assert np.array_equal(g.finger_region.offsets, -eq[:, 3] / lengths)
     # The approach axis pierces the enclosure.
     assert spatial.contains_point(g.finger_region, g.pose, [0.10, 0.0, 0.0])
     assert not spatial.contains_point(g.finger_region, g.pose, [0.30, 0.0, 0.0])

@@ -273,10 +273,13 @@ def test_resume_refuses_checkpoint_past_the_runs_episodes(tmp_path, capsys):
     assert f"error: {final}: checkpoint has run 3 episodes, the run asks for 2" in capsys.readouterr().err
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name
-    # A resume that asks for the episodes already run changes nothing.
+    # A resume that asks for the episodes already run changes nothing, and
+    # does not rewrite the final checkpoint: a rewrite gets a new inode.
+    inode = final.stat().st_ino
     assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(final), "--episodes", "3"]) == 0
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name
+    assert final.stat().st_ino == inode
 
 
 def test_failed_writes_keep_previous_files(tmp_path, monkeypatch):

@@ -2,6 +2,9 @@
 no code has, and it hides what a file really reads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,26 @@ def test_unused_imports_finds_each_unread_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(REPO)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+RUNTIME_CHILD = """
+import sys
+
+import numpy as np
+
+import softcap.harness
+from softcap.env import EnvConfig, SoftCaptureEnv
+
+env = SoftCaptureEnv(EnvConfig())
+env.reset(0)
+env.step(np.zeros(env.action_dim))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_the_runtime_needs_no_scipy():
+    """numpy and PyYAML are the runtime dependencies; scipy serves only the
+    tests, as an independent oracle."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
