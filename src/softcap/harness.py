@@ -1,9 +1,9 @@
 """Run orchestration: configuration loading, the train / eval / compare /
 replay-export entry points, metrics and manifest persistence.
 
-Every run directory receives a ``run_manifest.json`` (written on success
-and on failure), a metrics or comparison table in comma-separated text,
-and checkpoints in the binary array container.  Data outputs are
+Every run directory receives a ``run_manifest.json`` (written at the
+start and again on success or failure), a metrics or comparison table in
+comma-separated text, and checkpoints in the binary array container.  Data outputs are
 deterministic functions of (config, seed); the manifest additionally
 carries wall-clock timestamps.
 """
@@ -15,6 +15,7 @@ import dataclasses
 import datetime
 import json
 import os
+import re
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -124,13 +125,29 @@ def _build_dataclass(cls, data: Dict, label: str = ""):
         raise ValueError(f"{label}.{exc}") from exc
 
 
+def _merged(base: Dict, override: Dict, label: str = "") -> Dict:
+    """A copy of ``base`` with the keys of ``override``; a section given in
+    both is merged key by key, so an override replaces only the keys it
+    names.  Neither mapping is changed."""
+    merged = dict(base)
+    for key, value in override.items():
+        name = f"{label}.{key}" if label else key
+        if isinstance(value, dict) and key in merged:
+            if not isinstance(merged[key], dict):
+                raise ValueError(f"{name} section must be a mapping")
+            value = _merged(merged[key], value, name)
+        merged[key] = value
+    return merged
+
+
 def load_config(mode: str, config_path: Optional[str] = None, overrides: Optional[Dict] = None) -> RunConfig:
     """Build a RunConfig from an optional YAML file plus flag overrides.
 
-    Unknown keys and invalid values fail loudly; nothing is silently
-    replaced by a default.  The learner's seed and episode count follow
-    the top-level ``seed`` and ``episodes``, so a ``train:`` mapping that
-    sets either is rejected.
+    An override section (``env``, ``train``, ``compare``) is merged into
+    the file's key by key.  Unknown keys and invalid values fail loudly;
+    nothing is silently replaced by a default.  The learner's seed and
+    episode count follow the top-level ``seed`` and ``episodes``, so a
+    ``train:`` mapping that sets either is rejected.
     """
     data: Dict = {}
     if config_path:
@@ -149,13 +166,8 @@ def load_config(mode: str, config_path: Optional[str] = None, overrides: Optiona
         if value is None:
             continue
         if key == "tactile":
-            data.setdefault("env", {})
-            if not isinstance(data["env"], dict):
-                raise ValueError("env section must be a mapping")
-            # A copy, so the caller's own ``env`` override stays as it was.
-            data["env"] = {**data["env"], "tactile_enabled": value}
-        else:
-            data[key] = value
+            key, value = "env", {"tactile_enabled": value}
+        data = _merged(data, {key: value})
     train = data.get("train")
     if isinstance(train, dict):
         for key in ("seed", "episodes"):
@@ -177,13 +189,9 @@ def _write_json(path: Path, obj: Dict) -> None:
 
 def _run(cfg: RunConfig, body) -> int:
     """Shared run skeleton: make the output dir, time the body, and always
-    leave a manifest behind, whether the body succeeded or not."""
+    leave a manifest behind: ``running`` from the start, so that a run
+    killed part-way still has one, then the body's outcome."""
     out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
-        return 1
     manifest = {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -195,6 +203,12 @@ def _run(cfg: RunConfig, body) -> int:
         "error": None,
         "final_summary": {},
     }
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "run_manifest.json", manifest)
+    except OSError as exc:
+        print(f"error: cannot write to output directory {out}: {exc}", file=sys.stderr)
+        return 1
     try:
         manifest["final_summary"] = body(out) or {}
         manifest["status"] = "success"
@@ -212,11 +226,13 @@ def _run(cfg: RunConfig, body) -> int:
 # ----------------------------------------------------------------------
 # train
 def _train(cfg: RunConfig, out: Path) -> Dict:
-    """Train into ``out``: ``metrics.csv``, periodic and final checkpoints.
+    """Train into ``out``: ``metrics.csv``, periodic checkpoints and policy
+    snapshots, and the final checkpoint.
 
-    A periodic checkpoint is written only for an episode before the run's
-    last, so each state is saved once: the last lives in
-    ``checkpoint_final.ckpt``, which also extends a finished run."""
+    A periodic checkpoint and its policy snapshot are written only for an
+    episode before the run's last, so each state is saved once: the last
+    lives in ``checkpoint_final.ckpt``, which also extends a finished run.
+    Of the periodic checkpoints only the two newest are kept."""
     env = SoftCaptureEnv(cfg.env)
     final = out / "checkpoint_final.ckpt"
     if cfg.checkpoint:
@@ -225,12 +241,12 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
         trainer = Trainer(env, cfg.train)
     # Extending a run in place: before its final checkpoint is replaced,
     # that state takes the periodic name an uninterrupted run gives it, as
-    # a second name of the same file, so no state is lost and the directory
-    # ends as the uninterrupted run's would.
+    # a second name of the same file, and gets its policy snapshot, so no
+    # state is lost and the directory ends as the uninterrupted run's would.
     start = trainer.episode
     in_place = bool(cfg.checkpoint) and final.exists() and os.path.samefile(cfg.checkpoint, final)
     if in_place and cfg.checkpoint_every and start % cfg.checkpoint_every == 0 and 0 < start < cfg.episodes:
-        link(final, _periodic_checkpoint(out, start))
+        _save_periodic(trainer, out, lambda path: link(final, path))
 
     metrics_path = out / "metrics.csv"
     columns = [f.name for f in fields(EpisodeMetrics)]
@@ -260,7 +276,7 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
             successes.append(int(metrics.success))
             done = metrics.episode + 1
             if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.episodes:
-                trainer.save(_periodic_checkpoint(out, done))
+                _save_periodic(trainer, out, trainer.save)
     # Resumed in place with no episode to run, the final checkpoint already
     # holds this state; rewriting it would copy the whole replay buffer.
     if not (in_place and trainer.episode == start):
@@ -278,8 +294,20 @@ def _train(cfg: RunConfig, out: Path) -> Dict:
     }
 
 
-def _periodic_checkpoint(out: Path, episode: int) -> Path:
-    return out / f"checkpoint_ep{episode:06d}.ckpt"
+_PERIODIC = re.compile(r"checkpoint_ep(\d+)\.ckpt")
+
+
+def _save_periodic(trainer: Trainer, out: Path, save) -> None:
+    """Write the policy snapshot of ``trainer``'s episode, then its periodic
+    checkpoint through ``save``.  Once that is complete, delete every
+    periodic checkpoint in ``out`` older than the two newest up to it."""
+    episode = trainer.episode
+    trainer.save_policy(out / f"policy_ep{episode:06d}.ckpt")
+    save(out / f"checkpoint_ep{episode:06d}.ckpt")
+    older = sorted((int(m.group(1)), m.group(0)) for m in map(_PERIODIC.fullmatch, os.listdir(out))
+                   if m and int(m.group(1)) < episode)
+    for _, name in older[:-1]:
+        (out / name).unlink()
 
 
 def run_train(cfg: RunConfig) -> int:

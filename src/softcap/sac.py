@@ -547,6 +547,12 @@ class Trainer:
     # target entropy and the rest of the learner settings come from the
     # config.  ``save`` writes the table; ``load`` reads each entry of the
     # file straight into the same table of a zero-filled trainer.
+    #
+    # A policy snapshot (``save_policy``) is the same container with the
+    # same meta, but only the ``policy`` entry and zero-row ``buffer.obs``,
+    # ``buffer.action`` and ``buffer.tail`` entries, which carry the widths
+    # at no data bytes.  ``load_policy`` reads either; ``load`` refuses a
+    # snapshot.
     def _adam(self):
         return [(name, getattr(self.agent, f"opt_{name}")) for name in _OPTIMIZERS]
 
@@ -566,17 +572,29 @@ class Trainer:
         table["buffer.tail"] = buf._tail[: buf._tail_size]
         return table
 
-    def save(self, path) -> None:
-        meta = {"version": CHECKPOINT_VERSION, "seed": self.config.seed,
+    def _meta(self) -> Dict:
+        return {"version": CHECKPOINT_VERSION, "seed": self.config.seed,
                 "buffer_capacity": self.buffer.capacity, "buffer_cursor": self.buffer._cursor,
                 "episode": self.episode, "env_steps": self.env_steps, "updates": self.updates,
                 "rng_act": self.rng_act.bit_generator.state,
                 "rng_learn": self.rng_learn.bit_generator.state}
-        neural.save_arrays(path, self.checkpoint_table(), meta)
+
+    def save(self, path) -> None:
+        neural.save_arrays(path, self.checkpoint_table(), self._meta())
+
+    def save_policy(self, path) -> None:
+        """Write the policy snapshot of this state to ``path``."""
+        table = self.checkpoint_table()
+        neural.save_arrays(path, {name: table[name] if name == "policy" else table[name][:0]
+                                  for name in _SNAPSHOT_ENTRIES}, self._meta())
 
     @classmethod
     def load(cls, path, env, config: TrainConfig) -> "Trainer":
-        meta, size, tail_size = _checked_header(path, env)
+        meta, shapes = _checked_header(path, env)
+        if shapes.keys() == _SNAPSHOT_ENTRIES:
+            raise ValueError(f"{path}: a policy snapshot holds no state to resume from; "
+                             f"resume from a checkpoint_*.ckpt")
+        size, tail_size = shapes["buffer.obs"][0], shapes["buffer.tail"][0]
         for key in ("seed", "buffer_capacity"):
             if meta[key] != getattr(config, key):
                 raise ValueError(f"{path}: checkpoint was written with {key} {meta[key]}, "
@@ -619,8 +637,8 @@ class Trainer:
 
     @staticmethod
     def load_policy(path, env) -> PolicyNet:
-        """Just the policy of the checkpoint at ``path``, for evaluation in
-        ``env``; no other entry of the file is read."""
+        """Just the policy of the checkpoint or policy snapshot at ``path``,
+        for evaluation in ``env``; no other entry of the file is read."""
         _checked_header(path, env)
         policy = PolicyNet(DenseParams.zeros(layer_sizes(env.observation_dim, env.action_dim)[0]),
                            env.action_dim)
@@ -636,11 +654,14 @@ _META_TYPES = {
     "rng_act": "object", "rng_learn": "object",
 }
 _JSON_TYPES = {"integer": int, "object": dict}
+# The entries of a policy snapshot: the policy, and buffer entries of no
+# rows, which carry the widths.
+_SNAPSHOT_ENTRIES = {"policy", "buffer.obs", "buffer.action", "buffer.tail"}
 
 
-def _checked_header(path, env) -> Tuple[Dict, int, int]:
-    """The meta of the checkpoint at ``path`` and the row counts of its
-    ``buffer.obs`` and ``buffer.tail``.  The file must be of this format,
+def _checked_header(path, env) -> Tuple[Dict, Dict[str, Tuple[int, ...]]]:
+    """The meta and the entry shapes of the checkpoint or policy snapshot at
+    ``path``.  The file must be of this format,
     its meta must hold every key of ``_META_TYPES`` with its type, and
     ``buffer.obs`` and ``buffer.action`` must be of the widths ``env``
     needs."""
@@ -663,11 +684,11 @@ def _checked_header(path, env) -> Tuple[Dict, int, int]:
             raise ValueError(f"{path}: {name}: entry missing")
         if len(shapes[name]) != 2:
             raise ValueError(f"{path}: {name}: shape {shapes[name]}, expected (rows, width)")
-    (size, obs_dim), (_, action_dim) = shapes["buffer.obs"], shapes["buffer.action"]
+    (_, obs_dim), (_, action_dim) = shapes["buffer.obs"], shapes["buffer.action"]
     if (obs_dim, action_dim) != (env.observation_dim, env.action_dim):
         raise ValueError(
             f"{path}: checkpoint has obs/action widths ({obs_dim}, {action_dim}) in "
             f"buffer.obs/buffer.action, the environment has ({env.observation_dim}, {env.action_dim}) "
             f"with tactile={env.config.tactile_enabled}; fix the --tactile flag or the checkpoint"
         )
-    return meta, size, shapes["buffer.tail"][0]
+    return meta, shapes

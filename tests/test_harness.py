@@ -67,6 +67,26 @@ def test_load_config_leaves_the_callers_mappings_alone():
     assert env == {"episode_length": 40, "success_streak_length": 20}
 
 
+def test_load_config_merges_override_sections_key_by_key(tmp_path):
+    path = tmp_path / "run.yaml"
+    data = small_run_dict(tmp_path / "out")
+    data["env"].update(tactile_enabled=True, randomization={"target_mass_range": [1.0, 2.0]})
+    path.write_text(yaml.safe_dump(data))
+    overrides = {"env": {"episode_length": 30, "randomization": {"obs_position_noise": 0.01}},
+                 "train": {"batch_size": 16}}
+    cfg = load_config("train", str(path), overrides)
+    assert cfg.env.tactile_enabled is True and cfg.env.success_streak_length == 20
+    assert cfg.env.episode_length == 30
+    assert list(cfg.env.randomization.target_mass_range) == [1.0, 2.0]
+    assert cfg.env.randomization.obs_position_noise == 0.01
+    assert (cfg.train.batch_size, cfg.train.warmup_steps) == (16, 60)
+    assert overrides == {"env": {"episode_length": 30, "randomization": {"obs_position_noise": 0.01}},
+                         "train": {"batch_size": 16}}
+    path.write_text(yaml.safe_dump({"env": [1, 2]}))
+    with pytest.raises(ValueError, match="^env section must be a mapping$"):
+        load_config("train", str(path), {"env": {"episode_length": 30}})
+
+
 def test_run_config_owns_train_seed_and_episodes(tmp_path):
     cfg = make_config("train", tmp_path / "run", episodes=4, seed=6)
     assert (cfg.train.seed, cfg.train.episodes) == (6, 4)
@@ -249,7 +269,7 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     )
     assert run_train(resumed) == 0
     names = sorted(p.name for p in (tmp_path / "straight").glob("*.ckpt"))
-    assert names == ["checkpoint_ep000003.ckpt", "checkpoint_final.ckpt"]
+    assert names == ["checkpoint_ep000003.ckpt", "checkpoint_final.ckpt", "policy_ep000003.ckpt"]
     assert sorted(p.name for p in (tmp_path / "resumed").glob("*.ckpt")) == names
     for name in ["metrics.csv", *names]:
         assert (tmp_path / "straight" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes(), name
@@ -258,7 +278,47 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 def test_train_saves_the_last_episode_only_as_the_final_checkpoint(tmp_path):
     out = tmp_path / "run"
     assert run_train(make_config("train", out, episodes=4, checkpoint_every=2)) == 0
-    assert sorted(p.name for p in out.glob("*.ckpt")) == ["checkpoint_ep000002.ckpt", "checkpoint_final.ckpt"]
+    assert sorted(p.name for p in out.glob("*.ckpt")) == [
+        "checkpoint_ep000002.ckpt", "checkpoint_final.ckpt", "policy_ep000002.ckpt"]
+
+
+def test_train_keeps_the_two_newest_full_states_and_every_snapshot(tmp_path):
+    # The flow of the checkpoint-resume benchmark: a 4-episode run saving
+    # every episode, then a resume from its middle state elsewhere.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_train(make_config("train", first, episodes=4, seed=2, checkpoint_every=1)) == 0
+    assert sorted(p.name for p in first.glob("*.ckpt")) == [
+        "checkpoint_ep000002.ckpt", "checkpoint_ep000003.ckpt", "checkpoint_final.ckpt",
+        "policy_ep000001.ckpt", "policy_ep000002.ckpt", "policy_ep000003.ckpt"]
+    resumed = make_config("train", second, episodes=4, seed=2, checkpoint_every=1,
+                          checkpoint=str(first / "checkpoint_ep000002.ckpt"))
+    assert run_train(resumed) == 0
+    rows = (first / "metrics.csv").read_bytes().splitlines()
+    assert (second / "metrics.csv").read_bytes().splitlines()[1:] == rows[3:]
+    assert sorted(p.name for p in second.glob("*.ckpt")) == [
+        "checkpoint_ep000003.ckpt", "checkpoint_final.ckpt", "policy_ep000003.ckpt"]
+    for name in ("checkpoint_ep000003.ckpt", "checkpoint_final.ckpt", "policy_ep000003.ckpt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_policy_snapshot_evaluates_as_its_full_state(tmp_path, capsys):
+    train_out = tmp_path / "train"
+    assert run_train(make_config("train", train_out, episodes=3, seed=4, checkpoint_every=2)) == 0
+    full, snapshot = train_out / "checkpoint_ep000002.ckpt", train_out / "policy_ep000002.ckpt"
+    for ckpt in (full, snapshot):
+        assert run_eval(make_config("eval", tmp_path / ckpt.stem, checkpoint=str(ckpt))) == 0
+    assert (tmp_path / full.stem / "eval_metrics.csv").read_bytes() == (
+        tmp_path / snapshot.stem / "eval_metrics.csv").read_bytes()
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_run_dict(tmp_path / "bad", episodes=3, seed=4)))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(cfg_path), "--checkpoint", str(snapshot), "--tactile", "on"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {snapshot}: checkpoint has obs/action widths (39, 6)")
+    assert "(40, 6) with tactile=True" in err
+    assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(snapshot)]) == 1
+    assert capsys.readouterr().err == (f"error: {snapshot}: a policy snapshot holds no state to resume from; "
+                                       f"resume from a checkpoint_*.ckpt\n")
 
 
 def test_resume_refuses_checkpoint_past_the_runs_episodes(tmp_path, capsys):
@@ -436,6 +496,10 @@ def test_kill_drill_resumes_byte_identical(tmp_path):
         cfg_path = config(out)
         kill_when_paused(tmp_path, cfg_path, when, name)
         assert not (out / "checkpoint_final.ckpt").exists()
+        assert json.loads((out / "run_manifest.json").read_text())["status"] == "running", when
+        # The oldest full state goes only once a newer one than the two
+        # kept is complete.
+        assert (out / "checkpoint_ep000001.ckpt").exists(), when
         cfg = load_config("train", str(cfg_path))
         partial = out / f"{name}.tmp"
         if when == "during":
@@ -453,6 +517,10 @@ def test_kill_drill_resumes_byte_identical(tmp_path):
         assert newest == out / "checkpoint_ep000002.ckpt", when
         assert cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(newest)]) == 0
         assert (out / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes(), when
+        names = sorted(p.name for p in straight.glob("*.ckpt"))
+        assert sorted(p.name for p in out.glob("*.ckpt")) == names, when
+        for name in names:
+            assert (out / name).read_bytes() == (straight / name).read_bytes(), (when, name)
         assert not list(out.glob("*.tmp")), when
 
 

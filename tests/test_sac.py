@@ -870,6 +870,27 @@ def test_load_policy_reads_meta(tmp_path):
         Trainer.load_policy(path, SoftCaptureEnv(small_env_config()))
 
 
+def test_policy_snapshot_holds_the_meta_and_the_policy(tmp_path):
+    env = SoftCaptureEnv(small_env_config(tactile_enabled=True))
+    trainer = Trainer(env, small_train_config(episodes=1))
+    list(trainer.run())
+    full, snapshot = tmp_path / "state.ckpt", tmp_path / "policy.ckpt"
+    trainer.save(full)
+    trainer.save_policy(snapshot)
+    (meta, shapes), (full_meta, full_shapes) = neural.read_header(snapshot), neural.read_header(full)
+    assert meta == full_meta
+    # The zero-row buffer entries carry the widths at no data bytes.
+    assert shapes == {"policy": full_shapes["policy"], "buffer.obs": (0, 40),
+                      "buffer.action": (0, 6), "buffer.tail": (0, 40)}
+    policy = Trainer.load_policy(snapshot, env)
+    assert np.array_equal(policy.params.flat, trainer.agent.policy.params.flat)
+    with pytest.raises(ValueError, match=r"\(40, 6\) in buffer.obs/buffer.action.*"
+                                         r"\(39, 6\) with tactile=False"):
+        Trainer.load_policy(snapshot, SoftCaptureEnv(small_env_config()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(snapshot))}: a policy snapshot holds no state"):
+        Trainer.load(snapshot, env, trainer.config)
+
+
 # ---------------------------------------------------------------- checkpoint table
 def trained_checkpoint(tmp_path):
     env = SoftCaptureEnv(small_env_config())
