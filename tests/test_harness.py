@@ -253,23 +253,29 @@ def test_train_same_seed_byte_identical(tmp_path):
     assert c1 == c2
 
 
-def test_train_resume_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("every, names", [
+    (3, ["checkpoint_ep000003.ckpt", "checkpoint_final.ckpt", "policy_ep000003.ckpt"]),
+    (1, ["checkpoint_ep000004.ckpt", "checkpoint_ep000005.ckpt", "checkpoint_final.ckpt",
+         *(f"policy_ep00000{n}.ckpt" for n in range(1, 6))]),
+])
+def test_train_resume_matches_uninterrupted(tmp_path, every, names):
     # The first part ends on a checkpoint_every multiple, so its last state
     # is in checkpoint_final.ckpt alone; resuming from it in place extends
-    # the run and keeps that state under its periodic name.
-    straight = make_config("train", tmp_path / "straight", episodes=6, seed=7, checkpoint_every=3)
+    # the run, keeps that state under its periodic name, writes its policy
+    # snapshot and keeps the two newest full states, as the straight run.
+    straight = make_config("train", tmp_path / "straight", episodes=6, seed=7, checkpoint_every=every)
     assert run_train(straight) == 0
 
-    part = make_config("train", tmp_path / "resumed", episodes=3, seed=7, checkpoint_every=3)
+    part = make_config("train", tmp_path / "resumed", episodes=3, seed=7, checkpoint_every=every)
     assert run_train(part) == 0
     assert not (tmp_path / "resumed" / "checkpoint_ep000003.ckpt").exists()
+    assert not (tmp_path / "resumed" / "policy_ep000003.ckpt").exists()
     resumed = make_config(
-        "train", tmp_path / "resumed", episodes=6, seed=7, checkpoint_every=3,
+        "train", tmp_path / "resumed", episodes=6, seed=7, checkpoint_every=every,
         checkpoint=str(tmp_path / "resumed" / "checkpoint_final.ckpt"),
     )
     assert run_train(resumed) == 0
-    names = sorted(p.name for p in (tmp_path / "straight").glob("*.ckpt"))
-    assert names == ["checkpoint_ep000003.ckpt", "checkpoint_final.ckpt", "policy_ep000003.ckpt"]
+    assert sorted(p.name for p in (tmp_path / "straight").glob("*.ckpt")) == names
     assert sorted(p.name for p in (tmp_path / "resumed").glob("*.ckpt")) == names
     for name in ["metrics.csv", *names]:
         assert (tmp_path / "straight" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes(), name
@@ -497,8 +503,8 @@ def test_kill_drill_resumes_byte_identical(tmp_path):
         kill_when_paused(tmp_path, cfg_path, when, name)
         assert not (out / "checkpoint_final.ckpt").exists()
         assert json.loads((out / "run_manifest.json").read_text())["status"] == "running", when
-        # The oldest full state goes only once a newer one than the two
-        # kept is complete.
+        # A full state is deleted only once a newer one is complete, so the
+        # kill during the save of episode 3 leaves episode 1's.
         assert (out / "checkpoint_ep000001.ckpt").exists(), when
         cfg = load_config("train", str(cfg_path))
         partial = out / f"{name}.tmp"
@@ -519,8 +525,8 @@ def test_kill_drill_resumes_byte_identical(tmp_path):
         assert (out / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes(), when
         names = sorted(p.name for p in straight.glob("*.ckpt"))
         assert sorted(p.name for p in out.glob("*.ckpt")) == names, when
-        for name in names:
-            assert (out / name).read_bytes() == (straight / name).read_bytes(), (when, name)
+        for ckpt in names:
+            assert (out / ckpt).read_bytes() == (straight / ckpt).read_bytes(), (when, ckpt)
         assert not list(out.glob("*.tmp")), when
 
 
