@@ -3,9 +3,9 @@ replay-export entry points, metrics and manifest persistence.
 
 Every run directory receives a ``run_manifest.json`` (written at the
 start and again on success or failure), a metrics or comparison table in
-comma-separated text, and checkpoints in the binary array container.  Data outputs are
-deterministic functions of (config, seed); the manifest additionally
-carries wall-clock timestamps.
+comma-separated text, and checkpoints in the binary array container.
+Data outputs are deterministic functions of (config, seed); the manifest
+additionally carries wall-clock timestamps.
 """
 
 from __future__ import annotations
