@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spatial
 from .checks import check_fields
-from .spatial import Contact, ConvexRegion, Obb, Pose, quat_mul, quat_normalize, quat_to_matrix
+from .spatial import Contact, ConvexRegion, Obb, Pose, quat_mul, quat_to_matrix, unit_quat_entries
 
 # Contact solver defaults: fixed iteration count, Baumgarte velocity bias.
 SOLVER_PASSES = 10
@@ -176,8 +176,17 @@ def step_free_body(body: RigidBody, dt: float) -> RigidBody:
     """One torque-free RK4 step: translate by lin_vel, advance (q, omega)."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    inertia = body.inertia_diag.tolist()
-    y0 = body.pose.orientation.tolist() + body.ang_vel.tolist()
+    position, orientation, ang_vel = free_body_rk4(
+        body.pose.position.tolist(), body.pose.orientation.tolist(), body.ang_vel.tolist(),
+        body.lin_vel.tolist(), body.inertia_diag.tolist(), dt)
+    return RigidBody(Pose(np.array(position), np.array(orientation)), body.lin_vel, np.array(ang_vel),
+                     body.mass, body.inertia_diag)
+
+
+def free_body_rk4(position, orientation, ang_vel, lin_vel, inertia, dt: float):
+    """``step_free_body`` on float sequences (dt > 0): the new position,
+    unit orientation and body-frame angular velocity, as float tuples."""
+    y0 = (*orientation, *ang_vel)
     half = 0.5 * dt
 
     k1 = _body_rates(y0, *inertia)
@@ -185,11 +194,10 @@ def step_free_body(body: RigidBody, dt: float) -> RigidBody:
     k3 = _body_rates([a + half * k for a, k in zip(y0, k2)], *inertia)
     k4 = _body_rates([a + dt * k for a, k in zip(y0, k3)], *inertia)
     sixth = dt / 6.0
-    y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y0, k1, k2, k3, k4)]
+    y = tuple(a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y0, k1, k2, k3, k4))
 
-    pos = body.pose.position + body.lin_vel * dt
-    return RigidBody(Pose(pos, quat_normalize(y[:4])), body.lin_vel, np.array(y[4:]),
-                     body.mass, body.inertia_diag)
+    (px, py, pz), (vx, vy, vz) = position, lin_vel
+    return (px + vx * dt, py + vy * dt, pz + vz * dt), unit_quat_entries(np.array(y[:4])), y[4:]
 
 
 def apply_gripper_action(
@@ -239,10 +247,8 @@ def apply_gripper_action(
 def detect_contacts(g: GripperBody, target: Obb) -> List[Contact]:
     """One contact per gripper sphere overlapping the target box: distances
     for every sphere, contact geometry only for the spheres that overlap."""
-    centers, radii = g.world_sphere_centers, g.sphere_radii
-    signed = spatial.spheres_obb_query(centers, radii, target)
-    return [spatial.sphere_obb_query(centers[i], float(radii[i]), target).contact
-            for i in np.flatnonzero(signed < 0.0)]
+    return spatial.sphere_pass(g.world_sphere_centers.tolist(), g.sphere_radii.tolist(),
+                               *spatial.obb_entries(target)).contacts
 
 
 def resolve_contacts(
@@ -327,15 +333,23 @@ def closest_pair_per_axis(g: GripperBody, target: Obb) -> np.ndarray:
     """Component-wise |difference| of the globally closest point pair
     between the gripper sphere surfaces and the target box surface (the
     first sphere with the smallest signed distance)."""
-    centers, radii = g.world_sphere_centers, g.sphere_radii
-    best = int(np.argmin(spatial.spheres_obb_query(centers, radii, target)))
-    radius = float(radii[best])
-    cx, cy, cz = centers[best].tolist()
-    qx, qy, qz = spatial.sphere_obb_query(centers[best], radius, target).closest_point.tolist()
+    centers, radii = g.world_sphere_centers.tolist(), g.sphere_radii.tolist()
+    position, half_extents, rot = spatial.obb_entries(target)
+    return pair_per_axis(spatial.sphere_pass(centers, radii, position, half_extents, rot),
+                         centers, radii, position)
+
+
+def pair_per_axis(found: spatial.SpherePass, centers, radii, box_position) -> np.ndarray:
+    """``closest_pair_per_axis`` from the ``sphere_pass`` of the same
+    spheres (float sequences) against a box centered at ``box_position``."""
+    best = found.nearest
+    radius = radii[best]
+    cx, cy, cz = centers[best]
+    qx, qy, qz = found.nearest_point
     ux, uy, uz = qx - cx, qy - cy, qz - cz
     d = math.sqrt(ux * ux + uy * uy + uz * uz)
     if d <= 1e-12:
-        ux, uy, uz = (target.pose.position - centers[best]).tolist()
+        ux, uy, uz = box_position[0] - cx, box_position[1] - cy, box_position[2] - cz
         d = math.sqrt(ux * ux + uy * uy + uz * uz)
         if d <= 1e-12:
             ux, uy, uz, d = 1.0, 0.0, 0.0, 1.0

@@ -133,10 +133,14 @@ def compute_reward(
     contact_force: float,
     goal_offset=None,
     margin: float = 0.0,
+    *,
+    target_rotation: Optional[np.ndarray] = None,
 ) -> Tuple[float, RewardTerms]:
     """Reward of a world state: distance and alignment shaping through
     1 - tanh(L2 error), +1 if any target corner is enclosed by the fingers,
-    -1 if any normal contact force was transmitted this step."""
+    -1 if any normal contact force was transmitted this step.
+    ``target_rotation`` is the rotation matrix of ``target_pose``, for a
+    caller that already has it."""
     dist = float(np.linalg.norm(gripper_pose.position - target_pose.position))
     r_dist = 1.0 - math.tanh(dist)
 
@@ -146,7 +150,9 @@ def compute_reward(
     err = spatial.orientation_error(gripper_pose.orientation, goal_orientation)
     r_align = 1.0 - math.tanh(float(np.linalg.norm(err)))
 
-    corners = Obb(target_pose, target_half_extents).corners()
+    if target_rotation is None:
+        target_rotation = spatial.quat_to_matrix(target_pose.orientation)
+    corners = spatial.box_corners(target_pose.position, target_rotation, target_half_extents)
     inside = spatial.contains_points(finger_region, gripper_pose, corners, margin)
     r_surr = 1.0 if bool(np.any(inside)) else 0.0
 
@@ -275,13 +281,24 @@ class SoftCaptureEnv:
         self._done = False
         self._streak = 0
         self._trace = []
-        return self._assemble_observation(contact_force=0.0)
+        return self._assemble_observation(0.0, spatial.quat_to_matrix(self._target.pose.orientation))
 
     def step(self, action) -> StepResult:
+        """One control step: move the gripper, then run ``physics_substeps``
+        contact and free-flight substeps on the target.
+
+        The substeps carry the target's state as floats and build no
+        object unless there are contacts; ``env.target`` is built once,
+        after the last substep.  A non-finite action is refused before it
+        changes anything.
+        """
         if self._done or self._rng is None:
             raise RuntimeError("step called on a finished episode; call reset first")
         cfg = self.config
-        action = np.clip(np.asarray(action, dtype=float).reshape(self.action_dim), -1.0, 1.0)
+        action = np.asarray(action, dtype=float).reshape(self.action_dim)
+        if not np.isfinite(action).all():
+            raise ValueError(f"action must be finite, got {action.tolist()}")
+        action = np.clip(action, -1.0, 1.0)
 
         # Per-component noise of up to +-fraction of the commanded magnitude.
         noise = self._rng.uniform(-1.0, 1.0, self.action_dim)
@@ -294,38 +311,56 @@ class SoftCaptureEnv:
             self._gripper, full_action, cfg.action_limits, cfg.control_dt
         )
 
+        g, t = self._gripper, self._target
+        centers, radii = g.world_sphere_centers.tolist(), g.sphere_radii.tolist()
+        half_extents, inertia = self._half_extents.tolist(), t.inertia_diag.tolist()
+        position, orientation = t.pose.position.tolist(), t.pose.orientation.tolist()
+        lin_vel, ang_vel = t.lin_vel, t.ang_vel.tolist()
+        velocity = lin_vel.tolist()
         dt_phys = cfg.control_dt / cfg.physics_substeps
         impulse_total = 0.0
         contact_count, max_depth, residual = 0, 0.0, 0.0
         for _ in range(cfg.physics_substeps):
-            box = Obb(self._target.pose, self._half_extents)
-            contacts = dynamics.detect_contacts(self._gripper, box)
+            rot = spatial.rotation_entries(*orientation)
+            contacts = spatial.sphere_pass(centers, radii, position, half_extents, rot).contacts
             if contacts:
-                self._target, result = dynamics.resolve_contacts(
-                    self._target, box, contacts, self._gripper.velocity_at, dt_phys,
+                # The solver takes the per-object form, through the module so
+                # that a wrapper installed on it sees every call.
+                pose = Pose(np.array(position), np.array(orientation))
+                body, result = dynamics.resolve_contacts(
+                    RigidBody(pose, lin_vel, np.array(ang_vel), t.mass, t.inertia_diag),
+                    Obb(pose, self._half_extents), contacts, g.velocity_at, dt_phys,
                 )
+                lin_vel, ang_vel = body.lin_vel, body.ang_vel.tolist()
+                velocity = lin_vel.tolist()
                 impulse_total += result.total_normal_impulse
                 contact_count = max(contact_count, len(contacts))
                 max_depth = max(max_depth, result.max_depth)
                 residual = max(residual, result.residual)
-            self._target = dynamics.step_free_body(self._target, dt_phys)
+            position, orientation, ang_vel = dynamics.free_body_rk4(
+                position, orientation, ang_vel, velocity, inertia, dt_phys)
+        self._target = RigidBody(Pose(np.array(position), np.array(orientation)), lin_vel,
+                                 np.array(ang_vel), t.mass, t.inertia_diag)
         contact_force = impulse_total / cfg.control_dt
 
+        # The final pose's rotation serves the reward and the observation.
+        target_rotation = spatial.quat_to_matrix(self._target.pose.orientation)
         reward, terms = compute_reward(
-            self._gripper.pose,
-            self._gripper.finger_region,
+            g.pose,
+            g.finger_region,
             self._target.pose,
             self._half_extents,
             contact_force,
             goal_offset=self._goal_offset,
             margin=cfg.containment_margin,
+            target_rotation=target_rotation,
         )
 
         self._step_count += 1
         self._done = self._step_count == cfg.episode_length
         self._streak = self._streak + 1 if reward > cfg.success_reward_threshold else 0
 
-        obs = self._assemble_observation(contact_force)
+        obs = self._assemble_observation(contact_force, target_rotation)
         # Both actions are fresh arrays, and the simulator replaces poses
         # rather than writing into them, so the record keeps them as they are.
         self._trace.append(
@@ -336,7 +371,7 @@ class SoftCaptureEnv:
                 terms=terms,
                 reward=reward,
                 contact_force=contact_force,
-                gripper_pose=self._gripper.pose,
+                gripper_pose=g.pose,
                 target_pose=self._target.pose,
             )
         )
@@ -351,7 +386,9 @@ class SoftCaptureEnv:
         )
 
     # ------------------------------------------------------------------
-    def _assemble_observation(self, contact_force: float) -> np.ndarray:
+    def _assemble_observation(self, contact_force: float, target_rotation: np.ndarray) -> np.ndarray:
+        """The observation of the current state; ``target_rotation`` is the
+        rotation matrix of the target's orientation."""
         rnd = self.config.randomization
         g = self._gripper
         t = self._target
@@ -363,15 +400,18 @@ class SoftCaptureEnv:
         lin_noise = raw[3:6] * rnd.obs_velocity_noise
         ang_noise = raw[6:9] * rnd.obs_velocity_noise
 
-        rot_t = spatial.quat_to_matrix(t.pose.orientation)
         t_pos = t.pose.position + pos_noise
         t_lin = t.lin_vel + lin_noise
-        t_ang = rot_t @ t.ang_vel + ang_noise
+        t_ang = target_rotation @ t.ang_vel + ang_noise
 
         g_euler = spatial.quat_to_euler_xyz(g.pose.orientation)
         t_euler = spatial.quat_to_euler_xyz(t.pose.orientation)
         orient_diff = spatial.orientation_error(g.pose.orientation, t.pose.orientation)
-        min_dist = dynamics.closest_pair_per_axis(g, self.target_box)
+        centers, radii = g.world_sphere_centers.tolist(), g.sphere_radii.tolist()
+        position = t.pose.position.tolist()
+        found = spatial.sphere_pass(centers, radii, position, self._half_extents.tolist(),
+                                    target_rotation.ravel().tolist())
+        min_dist = dynamics.pair_per_axis(found, centers, radii, position)
 
         parts = [
             g.pose.position,

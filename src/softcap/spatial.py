@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,14 +33,19 @@ def quat_identity() -> np.ndarray:
 
 def quat_normalize(q) -> np.ndarray:
     """Unit quaternion with the sign canonicalized to w >= 0."""
-    q = np.asarray(q, dtype=float).reshape(4)
+    return np.array(unit_quat_entries(np.asarray(q, dtype=float).reshape(4)))
+
+
+def unit_quat_entries(q: np.ndarray) -> Tuple[float, float, float, float]:
+    """``quat_normalize`` of a float array of shape (4,), as 4 floats."""
     n = math.sqrt(q.dot(q))  # what np.linalg.norm computes, without its overhead
     if n < _QUAT_EPS:
         raise ValueError("cannot normalize a near-zero quaternion")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    return q
+    w, x, y, z = q.tolist()
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        return -w, -x, -y, -z
+    return w, x, y, z
 
 
 def quat_product(a, b) -> np.ndarray:
@@ -77,17 +82,17 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    return np.array(rotation_entries(*np.asarray(q, dtype=float).tolist())).reshape(3, 3)
+
+
+def rotation_entries(w: float, x: float, y: float, z: float) -> Tuple[float, ...]:
+    """The 9 entries of ``quat_to_matrix`` in row-major order, as floats."""
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    return (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+            2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+            2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy))
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -117,7 +122,8 @@ def quat_to_euler_xyz(q) -> np.ndarray:
     Goes through the rotation matrix, so the result is invariant under a
     sign flip of q.  At |pitch| = pi/2 the convention roll = 0 applies.
     """
-    (m00, m01, m02), (m10, m11, m12), (_, _, m22) = quat_to_matrix(quat_normalize(q)).tolist()
+    m00, m01, m02, m10, m11, m12, _, _, m22 = rotation_entries(
+        *unit_quat_entries(np.asarray(q, dtype=float).reshape(4)))
     sp = min(max(m02, -1.0), 1.0)
     if abs(sp) < _GIMBAL_SIN_LIMIT:
         pitch = math.asin(sp)
@@ -239,9 +245,13 @@ class Obb:
 
     def corners(self) -> np.ndarray:
         """The 8 world-frame corner points, shape (8, 3)."""
-        local = _CORNER_SIGNS * self.half_extents
-        rot = quat_to_matrix(self.pose.orientation)
-        return self.pose.position + local @ rot.T
+        return box_corners(self.pose.position, quat_to_matrix(self.pose.orientation), self.half_extents)
+
+
+def box_corners(position, rot: np.ndarray, half_extents) -> np.ndarray:
+    """The 8 world-frame corners, shape (8, 3), of the box with this center,
+    rotation matrix and half extents."""
+    return position + (_CORNER_SIGNS * np.asarray(half_extents, dtype=float)) @ rot.T
 
 
 class Contact(NamedTuple):
@@ -263,10 +273,90 @@ class SphereQuery:
     contact: Optional[Contact]
 
 
-# The single- and multi-sphere queries below do the same arithmetic in the
-# same order: each rotated component is ((a0 + a1) + a2), and no BLAS product
-# (whose summation order and fused multiply-adds vary) is used, so the two
-# agree bit for bit.
+class SpherePass(NamedTuple):
+    """What ``sphere_pass`` finds for n spheres and one box: the signed
+    distance of each sphere, one contact per overlapping sphere in sphere
+    order, and the first sphere with the smallest signed distance
+    (``nearest``) with its closest box point (``nearest_point``, world
+    frame; ``None`` for no spheres)."""
+
+    signed: List[float]
+    contacts: List[Contact]
+    nearest: int
+    nearest_point: Optional[Tuple[float, float, float]]
+
+
+def obb_entries(box: Obb):
+    """A box's center, half extents and rotation entries as float tuples, the
+    box arguments of ``sphere_pass``."""
+    return (box.pose.position.tolist(), box.half_extents.tolist(),
+            rotation_entries(*box.pose.orientation.tolist()))
+
+
+def sphere_pass(centers, radii, position, half_extents, rot) -> SpherePass:
+    """Proximity of n spheres to one oriented box, on floats.
+
+    ``centers`` holds n (x, y, z) world points and ``radii`` n positive
+    radii; the box is its center, half extents and the 9 row-major entries
+    of its rotation matrix (``rotation_entries``).  Each sphere is measured
+    as ``sphere_obb_query`` documents: the closest point is the clamp of
+    the center into the box, the signed distance is -radius for a center
+    inside, and the contact normal points from the sphere into the box.
+    Each rotated component is ((a0 + a1) + a2), with no BLAS product (whose
+    summation order and fused multiply-adds vary), so the public queries
+    built on this pass agree bit for bit.  Contact geometry is computed for
+    the overlapping spheres only.
+    """
+    px, py, pz = position
+    hx, hy, hz = half_extents
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot
+    signed, contacts = [], []
+    nearest, nearest_signed, nearest_clamp = 0, math.inf, None
+    for i, ((cx, cy, cz), radius) in enumerate(zip(centers, radii)):
+        dx, dy, dz = cx - px, cy - py, cz - pz
+        lx = dx * r00 + dy * r10 + dz * r20
+        ly = dx * r01 + dy * r11 + dz * r21
+        lz = dx * r02 + dy * r12 + dz * r22
+        # min(max(l, -h), h) per axis, without the calls.
+        kx = hx if lx > hx else -hx if lx < -hx else lx
+        ky = hy if ly > hy else -hy if ly < -hy else ly
+        kz = hz if lz > hz else -hz if lz < -hz else lz
+        ex, ey, ez = lx - kx, ly - ky, lz - kz
+        dist = math.sqrt(ex * ex + ey * ey + ez * ez)
+        s = dist - radius if dist > _QUAT_EPS else -radius
+        signed.append(s)
+        if s < nearest_signed or nearest_clamp is None:
+            nearest, nearest_signed, nearest_clamp = i, s, (kx, ky, kz)
+        if s < 0.0:
+            if dist > _QUAT_EPS:
+                nx, ny, nz = -ex / dist, -ey / dist, -ez / dist
+            else:
+                # Center inside the box (or exactly on its surface).
+                r = math.sqrt(lx * lx + ly * ly + lz * lz)
+                if r > _QUAT_EPS:
+                    nx, ny, nz = -lx / r, -ly / r, -lz / r
+                else:
+                    nx, ny, nz = -1.0, 0.0, 0.0
+            point = np.array([
+                px + (r00 * kx + r01 * ky + r02 * kz),
+                py + (r10 * kx + r11 * ky + r12 * kz),
+                pz + (r20 * kx + r21 * ky + r22 * kz),
+            ])
+            normal = np.array([
+                r00 * nx + r01 * ny + r02 * nz,
+                r10 * nx + r11 * ny + r12 * nz,
+                r20 * nx + r21 * ny + r22 * nz,
+            ])
+            contacts.append(Contact(point, normal, -s))
+    nearest_point = None
+    if nearest_clamp is not None:
+        kx, ky, kz = nearest_clamp
+        nearest_point = (px + (r00 * kx + r01 * ky + r02 * kz),
+                         py + (r10 * kx + r11 * ky + r12 * kz),
+                         pz + (r20 * kx + r21 * ky + r22 * kz))
+    return SpherePass(signed, contacts, nearest, nearest_point)
+
+
 def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     """Proximity of a sphere to an oriented box.
 
@@ -278,55 +368,16 @@ def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     """
     if radius <= 0.0:
         raise ValueError("sphere radius must be > 0")
-    cx, cy, cz = np.asarray(center, dtype=float).reshape(3).tolist()
-    px, py, pz = box.pose.position.tolist()
-    hx, hy, hz = box.half_extents.tolist()
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat_to_matrix(box.pose.orientation).tolist()
-    dx, dy, dz = cx - px, cy - py, cz - pz
-    lx = dx * r00 + dy * r10 + dz * r20
-    ly = dx * r01 + dy * r11 + dz * r21
-    lz = dx * r02 + dy * r12 + dz * r22
-    kx, ky, kz = min(max(lx, -hx), hx), min(max(ly, -hy), hy), min(max(lz, -hz), hz)
-    ex, ey, ez = lx - kx, ly - ky, lz - kz
-    dist = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if dist > _QUAT_EPS:
-        signed = dist - radius
-        nx, ny, nz = -ex / dist, -ey / dist, -ez / dist
-    else:
-        # Center inside the box (or exactly on its surface).
-        signed = -radius
-        r = math.sqrt(lx * lx + ly * ly + lz * lz)
-        if r > _QUAT_EPS:
-            nx, ny, nz = -lx / r, -ly / r, -lz / r
-        else:
-            nx, ny, nz = -1.0, 0.0, 0.0
-    closest_world = np.array([
-        px + (r00 * kx + r01 * ky + r02 * kz),
-        py + (r10 * kx + r11 * ky + r12 * kz),
-        pz + (r20 * kx + r21 * ky + r22 * kz),
-    ])
-    contact = None
-    if signed < 0.0:
-        normal = np.array([
-            r00 * nx + r01 * ny + r02 * nz,
-            r10 * nx + r11 * ny + r12 * nz,
-            r20 * nx + r21 * ny + r22 * nz,
-        ])
-        contact = Contact(closest_world, normal, -signed)
-    return SphereQuery(closest_point=closest_world, signed_distance=signed, contact=contact)
+    found = sphere_pass([np.asarray(center, dtype=float).reshape(3).tolist()], [radius], *obb_entries(box))
+    return SphereQuery(closest_point=np.array(found.nearest_point), signed_distance=found.signed[0],
+                       contact=found.contacts[0] if found.contacts else None)
 
 
 def spheres_obb_query(centers, radii, box: Obb) -> np.ndarray:
     """Signed distances (n,) of n spheres to an oriented box, each equal to
-    what ``sphere_obb_query`` gives for that sphere.  Callers take a kept
-    sphere's contact or closest point from ``sphere_obb_query``."""
+    what ``sphere_obb_query`` gives for that sphere."""
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if (radii <= 0.0).any():
         raise ValueError("sphere radius must be > 0")
-    rot = quat_to_matrix(box.pose.orientation)
-    h = box.half_extents
-    d = np.asarray(centers, dtype=float).reshape(-1, 3) - box.pose.position
-    local = (d[:, :, None] * rot).sum(axis=1)  # rot.T @ d, row by row
-    delta = local - np.minimum(np.maximum(local, -h), h)
-    dist = np.sqrt((delta * delta).sum(axis=1))
-    return np.where(dist > _QUAT_EPS, dist - radii, -radii)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3).tolist()
+    return np.array(sphere_pass(centers, radii.tolist(), *obb_entries(box)).signed)

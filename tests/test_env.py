@@ -1,3 +1,4 @@
+import collections
 import csv
 import math
 import re
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 from softcap import dynamics, spatial
+from softcap.dynamics import RigidBody
 from softcap.env import (
     EnvConfig,
     RandomizationSpec,
     SoftCaptureEnv,
+    StepResult,
+    TraceRecord,
     compute_reward,
     is_success,
     longest_streak,
@@ -19,7 +23,7 @@ from softcap.env import (
     write_table,
     write_trace_csv,
 )
-from softcap.spatial import Pose
+from softcap.spatial import Obb, Pose
 
 from conftest import random_quat
 
@@ -425,16 +429,74 @@ def _reference_closest_pair_per_axis(g, box):
     return np.array([abs(c + radius * (ui / d) - q) for c, ui, q in zip(center, u, closest)])
 
 
-def test_env_step_matches_reference_substep_loop(monkeypatch):
+class _ReferenceEnv(SoftCaptureEnv):
+    """The control step composed from the public per-object functions: an
+    ``Obb``, a ``RigidBody`` and a ``Pose`` per substep, per-sphere scalar
+    queries for the contacts, ``step_free_body`` for the flight, and the
+    observation's closest pair through a box of its own."""
+
+    def step(self, action):
+        cfg = self.config
+        action = np.clip(np.asarray(action, dtype=float).reshape(6), -1.0, 1.0)
+        noise = self._rng.uniform(-1.0, 1.0, 6)
+        noisy = np.clip(action + cfg.action_noise_fraction * np.abs(action) * noise, -1.0, 1.0)
+        g = self._gripper = dynamics.apply_gripper_action(self._gripper, noisy, cfg.action_limits,
+                                                          cfg.control_dt)
+        dt = cfg.control_dt / cfg.physics_substeps
+        impulse, count, depth, residual = 0.0, 0, 0.0, 0.0
+        for _ in range(cfg.physics_substeps):
+            box = Obb(self._target.pose, self._half_extents)
+            contacts = _reference_detect_contacts(g, box)
+            if contacts:
+                self._target, result = dynamics.resolve_contacts(self._target, box, contacts,
+                                                                 g.velocity_at, dt)
+                impulse += result.total_normal_impulse
+                count = max(count, len(contacts))
+                depth = max(depth, result.max_depth)
+                residual = max(residual, result.residual)
+            self._target = dynamics.step_free_body(self._target, dt)
+        force = impulse / cfg.control_dt
+        reward, terms = compute_reward(g.pose, g.finger_region, self._target.pose, self._half_extents,
+                                       force, goal_offset=self._goal_offset,
+                                       margin=cfg.containment_margin)
+        self._step_count += 1
+        self._done = self._step_count == cfg.episode_length
+        self._streak = self._streak + 1 if reward > cfg.success_reward_threshold else 0
+        obs = self._assemble_observation(force)
+        self._trace.append(TraceRecord(self._step_count, action, noisy, terms, reward, force,
+                                       g.pose, self._target.pose))
+        return StepResult(obs, reward, terms, self._done,
+                          {"success_streak": self._streak, "contact_force": force,
+                           "contact_count": count, "max_depth": depth, "solver_residual": residual})
+
+    def _assemble_observation(self, contact_force, target_rotation=None):
+        rnd = self.config.randomization
+        g, t = self._gripper, self._target
+        raw = self._rng.uniform(-1.0, 1.0, 9)
+        t_pos = t.pose.position + raw[0:3] * rnd.obs_position_noise
+        t_lin = t.lin_vel + raw[3:6] * rnd.obs_velocity_noise
+        t_ang = spatial.quat_to_matrix(t.pose.orientation) @ t.ang_vel + raw[6:9] * rnd.obs_velocity_noise
+        parts = [
+            g.pose.position, spatial.quat_to_euler_xyz(g.pose.orientation), g.lin_vel, g.ang_vel,
+            t_pos, spatial.quat_to_euler_xyz(t.pose.orientation), t_lin, t_ang,
+            g.pose.position - t_pos, spatial.orientation_error(g.pose.orientation, t.pose.orientation),
+            g.lin_vel - t_lin, g.ang_vel - t_ang,
+            _reference_closest_pair_per_axis(g, Obb(t.pose, self._half_extents)),
+        ]
+        if self.config.tactile_enabled:
+            parts.append(np.array([contact_force]))
+        return np.concatenate(parts)
+
+
+def test_env_step_matches_reference_substep_loop():
     # A pursuit controller on a target within reach keeps the fingers on
-    # the box.  The reference run swaps in per-sphere scalar queries.
+    # the box.  The reference runs the same episodes through _ReferenceEnv.
     cfg = EnvConfig(tactile_enabled=True, episode_length=30, success_streak_length=15,
                     randomization=RandomizationSpec(target_position_low=(0.25, -0.03, -0.03),
                                                     target_position_high=(0.35, 0.03, 0.03)))
 
-    def rollout():
-        env = SoftCaptureEnv(cfg)
-        arrays, values = [], []
+    def rollout(env):
+        arrays, values, records = [], [], []
         for seed in (3, 4, 5, 6):
             arrays.append(env.reset(seed))
             for _ in range(cfg.episode_length):
@@ -445,23 +507,66 @@ def test_env_step_matches_reference_substep_loop(monkeypatch):
                 action = np.zeros(6)
                 action[:3] = np.clip(local / cfg.action_limits.max_translation_step, -1.0, 1.0)
                 r = env.step(action)
-                arrays.append(r.obs)
-                values.append((r.reward, r.terms, r.info))
+                t = env.target
+                arrays += [r.obs, t.lin_vel, t.ang_vel]
+                values.append((r.reward, r.terms, r.done, r.info))
             for rec in env.trace:
-                arrays += [rec.gripper_pose.position, rec.gripper_pose.orientation,
+                arrays += [rec.action_pre, rec.action_post,
+                           rec.gripper_pose.position, rec.gripper_pose.orientation,
                            rec.target_pose.position, rec.target_pose.orientation]
-        return arrays, values
+                records.append((rec.step, rec.terms, rec.reward, rec.contact_force))
+        return arrays, values, records
 
-    fast_arrays, fast_values = rollout()
-    monkeypatch.setattr(dynamics, "detect_contacts", _reference_detect_contacts)
-    monkeypatch.setattr(dynamics, "closest_pair_per_axis", _reference_closest_pair_per_axis)
-    ref_arrays, ref_values = rollout()
+    fast_arrays, fast_values, fast_records = rollout(SoftCaptureEnv(cfg))
+    ref_arrays, ref_values, ref_records = rollout(_ReferenceEnv(cfg))
 
     assert len(fast_arrays) == len(ref_arrays)
-    assert all(np.array_equal(a, b) for a, b in zip(fast_arrays, ref_arrays))
-    assert fast_values == ref_values
-    contact_steps = sum(info["contact_count"] > 0 for _, _, info in fast_values)
+    # Bitwise: array_equal would let -0.0 stand for 0.0.
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(fast_arrays, ref_arrays))
+    assert fast_values == ref_values and fast_records == ref_records
+    contact_steps = sum(info["contact_count"] > 0 for _, _, _, info in fast_values)
     assert contact_steps >= 0.3 * len(fast_values)
+
+
+def test_contact_free_substeps_build_no_objects(monkeypatch):
+    # Only contacts make a substep build simulator objects: over steps with
+    # none, doubling the substeps leaves the constructions unchanged.
+    built = collections.Counter()
+    for cls in (Pose, Obb, RigidBody):
+        def counting(self, _init=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    counts = []
+    for substeps in (4, 8):
+        env = SoftCaptureEnv(quiet_config(physics_substeps=substeps))
+        env.reset(seed=0)
+        rng = np.random.default_rng(9)
+        built.clear()
+        for _ in range(10):
+            assert env.step(rng.uniform(-1.0, 1.0, 6)).info["contact_count"] == 0
+        counts.append(dict(built))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"Pose", "RigidBody"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_refuses_non_finite_action(bad):
+    env, twin = SoftCaptureEnv(quiet_config()), SoftCaptureEnv(quiet_config())
+    for e in (env, twin):
+        e.reset(seed=0)
+        e.step([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+    pose, record = env.gripper.pose, env.trace[0]
+    with pytest.raises(ValueError, match=r"^action must be finite, got \[0\.2, .*(nan|inf)"):
+        env.step([0.2, 0.0, bad, 0.0, 0.0, 0.0])
+    assert env.gripper.pose is pose and len(env.trace) == 1 and env.trace[0] is record
+    # Step count and generator state as if the refused call never happened.
+    action = [0.2, -0.1, 0.3, 0.0, 0.1, 0.0]
+    got, expected = env.step(action), twin.step(action)
+    assert got.obs.tobytes() == expected.obs.tobytes()
+    assert env.trace[-1].step == twin.trace[-1].step == 2
+    assert env.trace[-1].action_post.tobytes() == twin.trace[-1].action_post.tobytes()
 
 
 def test_success_streak_info_counts():

@@ -300,10 +300,48 @@ def test_sphere_obb_distance_is_lipschitz(rng):
         assert abs(d1 - d2) <= np.linalg.norm(delta) + 1e-12
 
 
+def _reference_sphere_obb_query(center, radius, box):
+    # The scalar query written out on its own: (closest point, signed
+    # distance, contact point, normal and depth or None).
+    cx, cy, cz = center
+    px, py, pz = box.pose.position
+    hx, hy, hz = box.half_extents
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat_to_matrix(box.pose.orientation).tolist()
+    dx, dy, dz = cx - px, cy - py, cz - pz
+    lx = dx * r00 + dy * r10 + dz * r20
+    ly = dx * r01 + dy * r11 + dz * r21
+    lz = dx * r02 + dy * r12 + dz * r22
+    kx, ky, kz = min(max(lx, -hx), hx), min(max(ly, -hy), hy), min(max(lz, -hz), hz)
+    ex, ey, ez = lx - kx, ly - ky, lz - kz
+    dist = math.sqrt(ex * ex + ey * ey + ez * ez)
+    if dist > 1e-12:
+        signed = dist - radius
+        nx, ny, nz = -ex / dist, -ey / dist, -ez / dist
+    else:
+        signed = -radius
+        r = math.sqrt(lx * lx + ly * ly + lz * lz)
+        nx, ny, nz = (-lx / r, -ly / r, -lz / r) if r > 1e-12 else (-1.0, 0.0, 0.0)
+    closest = [px + (r00 * kx + r01 * ky + r02 * kz), py + (r10 * kx + r11 * ky + r12 * kz),
+               pz + (r20 * kx + r21 * ky + r22 * kz)]
+    normal = [r00 * nx + r01 * ny + r02 * nz, r10 * nx + r11 * ny + r12 * nz,
+              r20 * nx + r21 * ny + r22 * nz]
+    return closest, signed, (closest, normal, -signed) if signed < 0.0 else None
+
+
+def _reference_spheres_signed(centers, radii, box):
+    # The same distances from whole-array numpy operations.
+    rot = quat_to_matrix(box.pose.orientation)
+    local = ((centers - box.pose.position)[:, :, None] * rot).sum(axis=1)
+    delta = local - np.minimum(np.maximum(local, -box.half_extents), box.half_extents)
+    dist = np.sqrt((delta * delta).sum(axis=1))
+    return np.where(dist > 1e-12, dist - radii, -radii)
+
+
 def test_spheres_obb_query_equals_scalar_query(rng):
     # Rotated boxes with centers spread inside and outside, plus axis-aligned
     # boxes with dyadic coordinates, so some centers sit exactly on a face,
-    # an edge or a corner, or at the box center.
+    # an edge or a corner, or at the box center.  Both queries equal the
+    # references above bit for bit.
     cases = []
     for _ in range(40):
         box = Obb(Pose(rng.uniform(-1, 1, 3), random_quat(rng)), rng.uniform(0.05, 0.5, 3))
@@ -320,8 +358,15 @@ def test_spheres_obb_query_equals_scalar_query(rng):
     for box, centers, radii in cases:
         signed = spheres_obb_query(centers, radii, box)
         assert signed.shape == (len(radii),)
+        assert signed.tobytes() == _reference_spheres_signed(centers, radii, box).tobytes()
         for i, (center, radius) in enumerate(zip(centers, radii)):
-            assert signed[i] == sphere_obb_query(center, float(radius), box).signed_distance
+            q = sphere_obb_query(center, float(radius), box)
+            closest, distance, contact = _reference_sphere_obb_query(center.tolist(), float(radius), box)
+            assert signed[i] == q.signed_distance == distance
+            assert q.closest_point.tolist() == closest
+            assert (q.contact is None) == (contact is None)
+            if contact is not None:
+                assert [q.contact.point.tolist(), q.contact.normal.tolist(), q.contact.depth] == list(contact)
             local = quat_to_matrix(box.pose.orientation).T @ (center - box.pose.position)
             inside += bool(np.all(np.abs(local) < box.half_extents))
             surface += bool(np.all(np.abs(local) <= box.half_extents)
