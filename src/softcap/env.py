@@ -24,6 +24,11 @@ from .dynamics import ActionLimits, GripperBody, RigidBody
 from .files import replacing
 from .spatial import ConvexRegion, Obb, Pose
 
+# A step counts toward a success streak when its reward exceeds this.  As
+# r_dist + r_align <= 2, only a step with the enclosure bonus and no contact
+# does.
+SUCCESS_REWARD_THRESHOLD = 2.0
+
 
 class RewardTerms(NamedTuple):
     r_dist: float
@@ -73,12 +78,9 @@ class EnvConfig:
     action_limits: ActionLimits = field(default_factory=ActionLimits)
     randomization: RandomizationSpec = field(default_factory=RandomizationSpec)
     containment_margin: float = 0.005
-    success_reward_threshold: float = 2.0
     success_streak_length: int = 200
     action_noise_fraction: float = 0.10
     translation_only: bool = False
-    gripper_start_position: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    goal_orientation_offset: Tuple[float, float, float] = (0.0, 0.0, 0.0)  # Euler XYZ, rad
     target_half_extents: Tuple[float, float, float] = (0.05, 0.05, 0.05)
 
     def __post_init__(self):
@@ -131,22 +133,20 @@ def compute_reward(
     target_pose: Pose,
     target_half_extents,
     contact_force: float,
-    goal_offset=None,
     margin: float = 0.0,
     *,
     target_rotation: Optional[np.ndarray] = None,
 ) -> Tuple[float, RewardTerms]:
     """Reward of a world state: distance and alignment shaping through
     1 - tanh(L2 error), +1 if any target corner is enclosed by the fingers,
-    -1 if any normal contact force was transmitted this step.
+    -1 if any normal contact force was transmitted this step.  The
+    alignment goal is the target's orientation, normalized.
     ``target_rotation`` is the rotation matrix of ``target_pose``, for a
     caller that already has it."""
     dist = float(np.linalg.norm(gripper_pose.position - target_pose.position))
     r_dist = 1.0 - math.tanh(dist)
 
-    goal_orientation = target_pose.orientation
-    if goal_offset is not None:
-        goal_orientation = spatial.quat_mul(target_pose.orientation, goal_offset)
+    goal_orientation = spatial.quat_normalize(target_pose.orientation)
     err = spatial.orientation_error(gripper_pose.orientation, goal_orientation)
     r_align = 1.0 - math.tanh(float(np.linalg.norm(err)))
 
@@ -170,7 +170,8 @@ def longest_streak(rewards: Sequence[float], threshold: float) -> int:
     return best
 
 
-def is_success(rewards: Sequence[float], threshold: float = 2.0, streak_length: int = 200) -> bool:
+def is_success(rewards: Sequence[float], threshold: float = SUCCESS_REWARD_THRESHOLD,
+               streak_length: int = 200) -> bool:
     """True iff some ``streak_length`` consecutive rewards all exceed threshold."""
     return longest_streak(rewards, threshold) >= streak_length
 
@@ -211,7 +212,6 @@ class SoftCaptureEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self._goal_offset = spatial.euler_xyz_to_quat(config.goal_orientation_offset)
         self._half_extents = np.asarray(config.target_half_extents, dtype=float)
         self._rng: Optional[np.random.Generator] = None
         self._gripper: Optional[GripperBody] = None
@@ -240,10 +240,6 @@ class SoftCaptureEnv:
         return self._target
 
     @property
-    def target_box(self) -> Obb:
-        return Obb(self.target.pose, self._half_extents)
-
-    @property
     def trace(self) -> List[TraceRecord]:
         return list(self._trace)
 
@@ -251,7 +247,7 @@ class SoftCaptureEnv:
         cfg = self.config
         if self._step_count != cfg.episode_length:
             raise ValueError("success is defined over a complete episode trace")
-        return is_success([r.reward for r in self._trace], cfg.success_reward_threshold,
+        return is_success([r.reward for r in self._trace], SUCCESS_REWARD_THRESHOLD,
                           cfg.success_streak_length)
 
     def reset(self, seed: int) -> np.ndarray:
@@ -269,7 +265,7 @@ class SoftCaptureEnv:
         mass = float(self._rng.uniform(*rnd.target_mass_range))
 
         self._gripper = dynamics.build_open_gripper(
-            Pose(cfg.gripper_start_position, spatial.quat_normalize(spatial.euler_xyz_to_quat(gripper_euler))))
+            Pose(orientation=spatial.quat_normalize(spatial.euler_xyz_to_quat(gripper_euler))))
         self._target = RigidBody(
             pose=Pose(target_pos, spatial.quat_identity()),
             lin_vel=target_lin,
@@ -351,14 +347,13 @@ class SoftCaptureEnv:
             self._target.pose,
             self._half_extents,
             contact_force,
-            goal_offset=self._goal_offset,
             margin=cfg.containment_margin,
             target_rotation=target_rotation,
         )
 
         self._step_count += 1
         self._done = self._step_count == cfg.episode_length
-        self._streak = self._streak + 1 if reward > cfg.success_reward_threshold else 0
+        self._streak = self._streak + 1 if reward > SUCCESS_REWARD_THRESHOLD else 0
 
         obs = self._assemble_observation(contact_force, target_rotation)
         # Both actions are fresh arrays, and the simulator replaces poses

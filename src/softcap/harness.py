@@ -26,8 +26,8 @@ import yaml
 
 from . import __version__
 from .checks import check_fields, field_hints
-from .env import (TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig, SoftCaptureEnv, longest_streak,
-                  read_table, table_row, write_table, write_trace_csv)
+from .env import (SUCCESS_REWARD_THRESHOLD, TRACE_POSE_COLUMNS, TRACE_REWARD_COLUMNS, EnvConfig,
+                  SoftCaptureEnv, longest_streak, read_table, table_row, write_table, write_trace_csv)
 from .files import link, replacing
 from .sac import EpisodeMetrics, TrainConfig, Trainer, deterministic_action, episode_seed
 
@@ -421,7 +421,7 @@ def run_replay_export(cfg: RunConfig) -> int:
             poses_path = export(out / f"{stem}_poses.csv", pose_columns)
 
         rewards = [float(row[idx["reward"]]) for row in rows]
-        threshold = cfg.env.success_reward_threshold
+        threshold = SUCCESS_REWARD_THRESHOLD
         streak = longest_streak(rewards, threshold)
         summary = {
             "rows": len(rows),

@@ -372,12 +372,3 @@ def sphere_obb_query(center, radius: float, box: Obb) -> SphereQuery:
     return SphereQuery(closest_point=np.array(found.nearest_point), signed_distance=found.signed[0],
                        contact=found.contacts[0] if found.contacts else None)
 
-
-def spheres_obb_query(centers, radii, box: Obb) -> np.ndarray:
-    """Signed distances (n,) of n spheres to an oriented box, each equal to
-    what ``sphere_obb_query`` gives for that sphere."""
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if (radii <= 0.0).any():
-        raise ValueError("sphere radius must be > 0")
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3).tolist()
-    return np.array(sphere_pass(centers, radii.tolist(), *obb_entries(box)).signed)

@@ -11,6 +11,7 @@ import pytest
 from softcap import dynamics, spatial
 from softcap.dynamics import RigidBody
 from softcap.env import (
+    SUCCESS_REWARD_THRESHOLD,
     EnvConfig,
     RandomizationSpec,
     SoftCaptureEnv,
@@ -96,17 +97,15 @@ def test_reward_surround_with_contained_corner():
     assert reward > 2.0
 
 
-def test_reward_alignment_uses_goal_offset():
-    offset = spatial.quat_from_axis_angle((0, 0, 1), 0.4)
+def test_reward_alignment_measures_misalignment():
+    yawed = spatial.quat_from_axis_angle((0, 0, 1), 0.4)
     _, terms_id = compute_reward(Pose(), FINGER_REGION, Pose(), (0.5,) * 3, 0.0)
-    _, terms_off = compute_reward(
-        Pose(), FINGER_REGION, Pose(), (0.5,) * 3, 0.0, goal_offset=offset
-    )
+    _, terms_off = compute_reward(Pose(orientation=yawed), FINGER_REGION, Pose(), (0.5,) * 3, 0.0)
     assert terms_id.r_align == 1.0
     assert abs(terms_off.r_align - (1.0 - math.tanh(0.4))) < 1e-12
-    # Matching the offset restores full alignment.
+    # A target yawed the same way restores full alignment.
     _, terms_matched = compute_reward(
-        Pose(orientation=offset), FINGER_REGION, Pose(), (0.5,) * 3, 0.0, goal_offset=offset
+        Pose(orientation=yawed), FINGER_REGION, Pose(orientation=yawed), (0.5,) * 3, 0.0
     )
     assert abs(terms_matched.r_align - 1.0) < 1e-12
 
@@ -299,7 +298,7 @@ def test_observation_min_distance_block_known_configuration():
     env = SoftCaptureEnv(quiet_config())
     obs = env.reset(seed=0)
     # Brute-force closest pair over sphere surfaces and dense box surface.
-    g, box = env.gripper, env.target_box
+    g, box = env.gripper, Obb(env.target.pose, env.config.target_half_extents)
     rng = np.random.default_rng(0)
     h = box.half_extents
     pts = rng.uniform(-h, h, size=(200_000, 3))
@@ -317,6 +316,22 @@ def test_observation_min_distance_block_known_configuration():
             best = (center + radius * u, world[i], gap)
     expected = np.abs(best[0] - best[1])
     assert np.allclose(obs[36:39], expected, atol=2e-3)
+
+
+def test_min_distance_block_is_unsigned():
+    # The per-axis block is |(r - d) u| for the nearest sphere, so a sphere
+    # as far clear of a face as another is into it reads the same; only the
+    # contact query tells them apart.  Every length here is dyadic, so the
+    # block is exact.
+    box = Obb(Pose(), [0.125] * 3)
+    blocks, counts = [], []
+    for gap in (0.03125, -0.03125):
+        g = dynamics.GripperBody(pose=Pose([0.125 + 0.0625 + gap, 0.0, 0.0]),
+                                 sphere_centers=np.zeros((1, 3)), sphere_radii=np.array([0.0625]))
+        blocks.append(dynamics.closest_pair_per_axis(g, box))
+        counts.append(len(dynamics.detect_contacts(g, box)))
+    assert blocks[0].tobytes() == blocks[1].tobytes() == np.array([0.03125, 0.0, 0.0]).tobytes()
+    assert counts == [0, 1]
 
 
 def test_noise_free_determinism_across_runs():
@@ -457,11 +472,10 @@ class _ReferenceEnv(SoftCaptureEnv):
             self._target = dynamics.step_free_body(self._target, dt)
         force = impulse / cfg.control_dt
         reward, terms = compute_reward(g.pose, g.finger_region, self._target.pose, self._half_extents,
-                                       force, goal_offset=self._goal_offset,
-                                       margin=cfg.containment_margin)
+                                       force, margin=cfg.containment_margin)
         self._step_count += 1
         self._done = self._step_count == cfg.episode_length
-        self._streak = self._streak + 1 if reward > cfg.success_reward_threshold else 0
+        self._streak = self._streak + 1 if reward > SUCCESS_REWARD_THRESHOLD else 0
         obs = self._assemble_observation(force)
         self._trace.append(TraceRecord(self._step_count, action, noisy, terms, reward, force,
                                        g.pose, self._target.pose))

@@ -109,9 +109,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(yaml.safe_dump({"episodez": 3}))
     with pytest.raises(ValueError, match="episodez"):
         load_config("train", str(path))
-    path.write_text(yaml.safe_dump({"env": {"bogus_field": 1}}))
-    with pytest.raises(ValueError, match="bogus_field"):
-        load_config("train", str(path))
+    # The last three were settings once; a config that still sets one fails.
+    for key, value in [("bogus_field", 1), ("goal_orientation_offset", [0.0, 0.0, 0.4]),
+                       ("gripper_start_position", [0.0, 0.1, 0.0]), ("success_reward_threshold", 2.5)]:
+        path.write_text(yaml.safe_dump({"env": {key: value}}))
+        with pytest.raises(ValueError, match=f"^unknown env keys: \\['{key}'\\]$"):
+            load_config("train", str(path))
 
 
 def test_load_config_rejects_invalid_values(tmp_path):
@@ -202,9 +205,9 @@ def test_config_built_directly_refuses_wrong_kinds(build, named):
 
 
 def test_config_check_converts_nothing():
-    cfg = EnvConfig(gripper_start_position=[0.0, 0.1, 0.0],
+    cfg = EnvConfig(target_half_extents=[0.05, 0.1, 0.05],
                     randomization=RandomizationSpec(target_mass_range=[1, 2]))
-    assert cfg.gripper_start_position == [0.0, 0.1, 0.0]
+    assert cfg.target_half_extents == [0.05, 0.1, 0.05]
     assert cfg.randomization.target_mass_range == [1, 2]
 
 
@@ -819,6 +822,16 @@ def test_cli_bad_config_fails_loudly(tmp_path, capsys):
     code = cli.main(["train", "--config", str(cfg_path)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_removed_env_key(tmp_path, capsys):
+    data = small_run_dict(tmp_path / "out")
+    data["env"]["success_reward_threshold"] = 2.0
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(data))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown env keys: ['success_reward_threshold']")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section, key, value, named", [

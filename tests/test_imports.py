@@ -59,3 +59,29 @@ def test_the_runtime_needs_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", RUNTIME_CHILD], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    """The benchmark wraps softcap's functions and methods by name; one that
+    is deleted or renamed fails here, where installing the wrappers on the
+    live package raises.  Every wrapper comes off again afterwards."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import layers
+    import tracing
+
+    import softcap
+    from softcap import dynamics, env, harness, neural, sac, spatial
+
+    owners = [spatial, dynamics, env, neural, sac, harness,
+              env.SoftCaptureEnv, sac.SacAgent, sac.ReplayBuffer, sac.Trainer]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer, lambda name, ok, detail: None, softcap)
+        assert env.compute_reward is not before[2]["compute_reward"]
+    finally:
+        tracer.unwrap_all()
+        del sys.modules["layers"], sys.modules["tracing"]
+    for owner, names in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == names.keys() and all(now[k] is v for k, v in names.items()), owner

@@ -11,6 +11,7 @@ from softcap.spatial import (
     Pose,
     contains_point,
     euler_xyz_to_quat,
+    obb_entries,
     orientation_error,
     quat_conj,
     quat_identity,
@@ -20,7 +21,7 @@ from softcap.spatial import (
     quat_to_euler_xyz,
     quat_to_matrix,
     sphere_obb_query,
-    spheres_obb_query,
+    sphere_pass,
 )
 
 from conftest import hull_contains, random_quat, rot_x, rot_z
@@ -337,11 +338,11 @@ def _reference_spheres_signed(centers, radii, box):
     return np.where(dist > 1e-12, dist - radii, -radii)
 
 
-def test_spheres_obb_query_equals_scalar_query(rng):
+def test_sphere_pass_equals_scalar_query(rng):
     # Rotated boxes with centers spread inside and outside, plus axis-aligned
     # boxes with dyadic coordinates, so some centers sit exactly on a face,
-    # an edge or a corner, or at the box center.  Both queries equal the
-    # references above bit for bit.
+    # an edge or a corner, or at the box center.  The whole pass and the
+    # scalar query equal the references above bit for bit.
     cases = []
     for _ in range(40):
         box = Obb(Pose(rng.uniform(-1, 1, 3), random_quat(rng)), rng.uniform(0.05, 0.5, 3))
@@ -356,7 +357,7 @@ def test_spheres_obb_query_equals_scalar_query(rng):
 
     inside = surface = 0
     for box, centers, radii in cases:
-        signed = spheres_obb_query(centers, radii, box)
+        signed = np.array(sphere_pass(centers.tolist(), radii.tolist(), *obb_entries(box)).signed)
         assert signed.shape == (len(radii),)
         assert signed.tobytes() == _reference_spheres_signed(centers, radii, box).tobytes()
         for i, (center, radius) in enumerate(zip(centers, radii)):
@@ -372,8 +373,6 @@ def test_spheres_obb_query_equals_scalar_query(rng):
             surface += bool(np.all(np.abs(local) <= box.half_extents)
                             and np.any(np.abs(local) == box.half_extents))
     assert inside >= 20 and surface >= 4
-    with pytest.raises(ValueError):
-        spheres_obb_query(np.zeros((2, 3)), [0.1, 0.0], box)
     with pytest.raises(ValueError):
         sphere_obb_query(np.zeros(3), 0.0, box)
 
